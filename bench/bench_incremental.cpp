@@ -189,19 +189,17 @@ writeJson(const std::string& path, const std::vector<Row>& rows, bool smoke)
 int
 main(int argc, char** argv)
 {
-    init(&argc, argv);
+    init(&argc, argv, "[--out F] [--check]");
     std::string out_path = "BENCH_incremental.json";
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--out") {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for --out");
-            out_path = argv[++i];
-        } else if (a == "--check") {
+        if (a == "--out")
+            out_path = flagValue(argc, argv, &i);
+        else if (a == "--check")
             check = true;
-        } else {
-            HT_FATAL("unknown option '", a, "'");
-        }
+        else
+            usageError("unknown option '" + a + "'");
     }
 
     const bool smoke = smokeMode();

@@ -322,27 +322,25 @@ checkAgainstBaseline(const std::vector<Cell>& cells,
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
+    bench::init(&argc, argv,
+                "[--out F] [--check BASELINE] [--tolerance X] "
+                "[--min-spmm-speedup X]");
     std::string out_path = "BENCH_kernels.json";
     std::string check_path;
     double tolerance = 0.40;
     double min_spmm_speedup = 3.0;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for ", a);
-            return argv[++i];
-        };
         if (a == "--out")
-            out_path = next();
+            out_path = bench::flagValue(argc, argv, &i);
         else if (a == "--check")
-            check_path = next();
+            check_path = bench::flagValue(argc, argv, &i);
         else if (a == "--tolerance")
-            tolerance = std::strtod(next().c_str(), nullptr);
+            tolerance = bench::flagNumber(argc, argv, &i);
         else if (a == "--min-spmm-speedup")
-            min_spmm_speedup = std::strtod(next().c_str(), nullptr);
+            min_spmm_speedup = bench::flagNumber(argc, argv, &i);
         else
-            HT_FATAL("unknown option '", a, "'");
+            bench::usageError("unknown option '" + a + "'");
     }
 
     bench::banner("bench_kernel_throughput", "kernel library",

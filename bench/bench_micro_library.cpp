@@ -299,7 +299,7 @@ BENCHMARK(BM_MemorySystemContention)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char** argv)
 {
-    hottiles::bench::init(&argc, argv);
+    hottiles::bench::init(&argc, argv, "[google-benchmark flags]");
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

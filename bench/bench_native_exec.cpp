@@ -93,19 +93,17 @@ writeJson(const std::string& path, const std::vector<Cell>& cells,
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
+    bench::init(&argc, argv, "[--out F] [--check]");
     std::string out_path = "BENCH_native.json";
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--out") {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for --out");
-            out_path = argv[++i];
-        } else if (a == "--check") {
+        if (a == "--out")
+            out_path = bench::flagValue(argc, argv, &i);
+        else if (a == "--check")
             check = true;
-        } else {
-            HT_FATAL("unknown option '", a, "'");
-        }
+        else
+            bench::usageError("unknown option '" + a + "'");
     }
 
     bench::banner("bench_native_exec", "native execution",

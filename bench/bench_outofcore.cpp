@@ -401,37 +401,34 @@ mib(uint64_t bytes)
 int
 main(int argc, char** argv)
 {
-    init(&argc, argv);
+    init(&argc, argv,
+         "[--out F] [--check] [--rows N] [--nnz N] [--tile N] [--seed N]");
     std::string out_path = "BENCH_outofcore.json";
     std::string phase, htb_path, result_path;
     Config c;
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto val = [&]() -> std::string {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for ", a);
-            return argv[++i];
-        };
         if (a == "--out")
-            out_path = val();
+            out_path = flagValue(argc, argv, &i);
         else if (a == "--check")
             check = true;
         else if (a == "--phase")
-            phase = val();
+            phase = flagValue(argc, argv, &i);
         else if (a == "--htb")
-            htb_path = val();
+            htb_path = flagValue(argc, argv, &i);
         else if (a == "--result")
-            result_path = val();
+            result_path = flagValue(argc, argv, &i);
         else if (a == "--rows")
-            c.rows = Index(std::stoul(val()));
+            c.rows = Index(flagCount(argc, argv, &i));
         else if (a == "--nnz")
-            c.nnz = std::stoull(val());
+            c.nnz = flagCount(argc, argv, &i);
         else if (a == "--tile")
-            c.tile = Index(std::stoul(val()));
+            c.tile = Index(flagCount(argc, argv, &i));
         else if (a == "--seed")
-            c.seed = std::stoull(val());
+            c.seed = flagCount(argc, argv, &i);
         else
-            HT_FATAL("unknown option '", a, "'");
+            usageError("unknown option '" + a + "'");
     }
 
     // Hidden child mode: run one phase, report, exit.

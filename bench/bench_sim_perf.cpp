@@ -275,27 +275,25 @@ checkAgainstBaseline(const std::vector<Record>& records,
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
+    bench::init(&argc, argv,
+                "[--out F] [--check BASELINE] [--tolerance X] "
+                "[--prepr-csv F]");
     std::string out_path = "BENCH_sim_perf.json";
     std::string check_path;
     std::string prepr_path;
     double tolerance = 0.30;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            HT_FATAL_IF(i + 1 >= argc, "missing value for ", a);
-            return argv[++i];
-        };
         if (a == "--out")
-            out_path = next();
+            out_path = bench::flagValue(argc, argv, &i);
         else if (a == "--check")
-            check_path = next();
+            check_path = bench::flagValue(argc, argv, &i);
         else if (a == "--tolerance")
-            tolerance = std::strtod(next().c_str(), nullptr);
+            tolerance = bench::flagNumber(argc, argv, &i);
         else if (a == "--prepr-csv")
-            prepr_path = next();
+            prepr_path = bench::flagValue(argc, argv, &i);
         else
-            HT_FATAL("unknown option '", a, "'");
+            bench::usageError("unknown option '" + a + "'");
     }
 
     bench::banner("bench_sim_perf", "perf trajectory",

@@ -1,5 +1,7 @@
 #include "bench_util.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -14,22 +16,65 @@ namespace hottiles::bench {
 namespace {
 
 bool g_smoke = false;
+std::string g_usage;
 
 } // namespace
 
 void
-init(int* argc, char** argv)
+usageError(const std::string& what)
 {
+    std::cerr << "error: " << what << "\n" << g_usage << "\n";
+    std::exit(2);
+}
+
+std::string
+flagValue(int argc, char** argv, int* i)
+{
+    if (*i + 1 >= argc)
+        usageError(std::string("missing value for ") + argv[*i]);
+    ++*i;
+    return argv[*i];
+}
+
+uint64_t
+flagCount(int argc, char** argv, int* i)
+{
+    const std::string v = flagValue(argc, argv, i);
+    uint64_t out = 0;
+    auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (v.empty() || ec != std::errc() || p != v.data() + v.size())
+        usageError(std::string("bad value for ") + argv[*i - 1] + ": '" + v +
+                   "'");
+    return out;
+}
+
+double
+flagNumber(int argc, char** argv, int* i)
+{
+    const std::string v = flagValue(argc, argv, i);
+    char* end = nullptr;
+    const double out = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(out))
+        usageError(std::string("bad value for ") + argv[*i - 1] + ": '" + v +
+                   "'");
+    return out;
+}
+
+void
+init(int* argc, char** argv, const char* options)
+{
+    g_usage = std::string("usage: ") + argv[0] + " [--smoke] [--threads N]" +
+              (*options ? " " : "") + options;
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
         std::string_view a = argv[i];
         if (a == "--smoke") {
             g_smoke = true;
         } else if (a == "--threads") {
-            if (i + 1 >= *argc)
-                HT_FATAL("missing value for --threads");
-            ThreadPool::setGlobalThreads(static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10)));
+            ThreadPool::setGlobalThreads(
+                static_cast<unsigned>(flagCount(*argc, argv, &i)));
+        } else if (!*options) {
+            usageError("unknown option '" + std::string(a) + "'");
         } else {
             argv[out++] = argv[i];
         }

@@ -7,6 +7,7 @@
  * arithmetic, and the uniform headings each binary prints.
  */
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -27,9 +28,28 @@ namespace hottiles::bench {
  *                 resolves to one small deterministic matrix so each
  *                 binary exercises its full code path in seconds.
  *   --threads N   thread-pool size (same as the CLI flag).
- * Call first thing in main().
+ * @p options is the synopsis of the bench's own flags for the usage
+ * line.  When it is empty the bench takes none, so any argument left
+ * over is a usage error.  Call first thing in main().
  */
-void init(int* argc, char** argv);
+void init(int* argc, char** argv, const char* options = "");
+
+/**
+ * A bad command line: print @p what and the usage line to stderr and
+ * exit 2, the CLI's usage code (docs/SERVING.md).
+ */
+[[noreturn]] void usageError(const std::string& what);
+
+/** The value after the flag at argv[*i], advancing *i; a missing value
+ *  is a usage error. */
+std::string flagValue(int argc, char** argv, int* i);
+
+/** flagValue as a whole non-negative number; anything else is a usage
+ *  error. */
+uint64_t flagCount(int argc, char** argv, int* i);
+
+/** flagValue as a finite number; anything else is a usage error. */
+double flagNumber(int argc, char** argv, int* i);
 
 /** True when --smoke was passed (benches may trim their sweeps). */
 bool smokeMode();

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/log.hpp"
+#include "core/hottiles.hpp"
 #include "model/calibration.hpp"
 #include "partition/partition.hpp"
 #include "partition/predicted_runtime.hpp"
@@ -42,12 +43,11 @@ makeSamples(const Architecture& arch, bool hot_type,
         s.predict = [&arch, &grid, hot_type, kernel](double vis_lat) {
             Architecture probe = arch;
             (hot_type ? probe.hot : probe.cold).vis_lat = vis_lat;
-            double hot_bw = probe.pcie_gbps > 0
-                                ? probe.pcie_gbps / probe.freq_ghz
-                                : probe.bwBytesPerCycle();
+            const PlatformTerms pt =
+                platformTerms(probe, kernel, grid.matrixRows());
             PartitionContext ctx = makePartitionContext(
-                grid, probe.hot, probe.cold, kernel,
-                probe.bwBytesPerCycle(), 0.0, probe.atomic_rmw, hot_bw);
+                grid, probe.hot, probe.cold, kernel, pt.bw_bytes_per_cycle,
+                0.0, probe.atomic_rmw, pt.hot_bw_bytes_per_cycle);
             return predictedHomogeneousCycles(ctx, hot_type);
         };
         samples.push_back(std::move(s));

@@ -14,6 +14,24 @@
 
 namespace hottiles {
 
+PlatformTerms
+platformTerms(const Architecture& arch, const KernelConfig& kernel,
+              Index rows)
+{
+    PlatformTerms pt;
+    pt.bw_bytes_per_cycle = arch.bwBytesPerCycle();
+    pt.hot_bw_bytes_per_cycle = arch.pcie_gbps > 0
+                                    ? arch.pcie_gbps / arch.freq_ghz
+                                    : arch.bwBytesPerCycle();
+    // SDDMM outputs are disjoint per nonzero, so no Merger is needed.
+    pt.race_free = arch.atomic_rmw || kernel.kind == SparseKernel::Sddmm;
+    pt.t_merge_cycles =
+        pt.race_free ? 0.0
+                     : mergeCycles(rows, kernel.k, arch.cold.value_bytes,
+                                   arch.bwBytesPerCycle(), arch.line_bytes);
+    return pt;
+}
+
 HotTiles::HotTiles(const Architecture& arch, const CooMatrix& a,
                    const HotTilesOptions& opts)
     : arch_(arch), opts_(opts)
@@ -60,25 +78,12 @@ HotTiles::buildPipeline(
     recordPeakRss();
 
     // Stage 2: per-tile performance model for both worker types.
-    // SDDMM outputs are disjoint per nonzero, so no Merger is needed.
     progress("model");
-    bool no_merge =
-        arch_.atomic_rmw || opts_.kernel.kind == SparseKernel::Sddmm;
-    double t_merge = no_merge
-                         ? 0.0
-                         : mergeCycles(grid_->matrixRows(), opts_.kernel.k,
-                                       arch_.cold.value_bytes,
-                                       arch_.bwBytesPerCycle(),
-                                       arch_.line_bytes);
-    double hot_bw = arch_.pcie_gbps > 0
-                        ? arch_.pcie_gbps / arch_.freq_ghz
-                        : arch_.bwBytesPerCycle();
-    // `no_merge` doubles as the context's race-free flag: with no merge
-    // cost, serial operation never pays off under the model (§V-B), so
-    // only the Parallel heuristics are considered.
+    const PlatformTerms pt =
+        platformTerms(arch_, opts_.kernel, grid_->matrixRows());
     ctx_ = makePartitionContext(*grid_, arch_.hot, arch_.cold, opts_.kernel,
-                                arch_.bwBytesPerCycle(), t_merge, no_merge,
-                                hot_bw);
+                                pt.bw_bytes_per_cycle, pt.t_merge_cycles,
+                                pt.race_free, pt.hot_bw_bytes_per_cycle);
     double t2 = monotonicSeconds();
     timing_.model_s = t2 - t1;
     recordPeakRss();

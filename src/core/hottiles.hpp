@@ -43,6 +43,26 @@ struct DeltaUpdateStats
     double update_s = 0;  //!< wall-clock cost of this update
 };
 
+/**
+ * What the architecture and kernel contribute to a PartitionContext:
+ * the shared and hot-link bandwidths, and the output-merge cost.  The
+ * platform is race-free (no merge cost) under atomic RMW or for SDDMM,
+ * whose outputs are disjoint per nonzero; the flag doubles as the
+ * context's atomic_rmw, since without a merge cost serial operation
+ * never pays off under the model (§V-B).
+ */
+struct PlatformTerms
+{
+    double bw_bytes_per_cycle = 0;
+    double hot_bw_bytes_per_cycle = 0;
+    double t_merge_cycles = 0;
+    bool race_free = false;
+};
+
+/** PlatformTerms of @p arch for a @p rows-row output under @p kernel. */
+PlatformTerms platformTerms(const Architecture& arch,
+                           const KernelConfig& kernel, Index rows);
+
 /** Options of a HotTiles pipeline run. */
 struct HotTilesOptions
 {

@@ -8,30 +8,11 @@
 #include "common/rss.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
+#include "core/hottiles.hpp"
 #include "partition/heuristics.hpp"
 #include "partition/predicted_runtime.hpp"
-#include "sim/merger.hpp"
 
 namespace hottiles {
-
-namespace {
-
-/** Per-panel compact histogram of occupied tile columns (same shape as
- *  TileGrid::build's pass 1, computed one window at a time). */
-struct PanelHist
-{
-    std::vector<Index> tcols;
-    std::vector<size_t> counts;
-};
-
-/** Per-chunk scratch for the streamed readjust pass. */
-struct ReadjustScratch
-{
-    std::vector<uint32_t> rid_stamp;
-    uint32_t generation = 0;
-};
-
-} // namespace
 
 StreamedPlan
 streamedPlan(const Architecture& arch, const PanelSource& src,
@@ -51,8 +32,9 @@ streamedPlan(const Architecture& arch, const PanelSource& src,
     plan.tile_h = arch.tile_height;
     plan.tile_w = arch.tile_width;
     HT_ASSERT(plan.tile_h > 0 && plan.tile_w > 0, "tile dims must be > 0");
-    plan.num_panels = static_cast<Index>(ceilDiv(plan.rows, plan.tile_h));
-    plan.num_tcols = static_cast<Index>(ceilDiv(plan.cols, plan.tile_w));
+    const TileShape shape{plan.rows, plan.cols, plan.tile_h, plan.tile_w};
+    plan.num_panels = shape.numPanels();
+    plan.num_tcols = shape.numTileCols();
     const Index window =
         opts.window_panels > 0 ? opts.window_panels : Index(32);
     // Windows are entry-budgeted, not fixed-width: a skewed matrix
@@ -75,159 +57,43 @@ streamedPlan(const Architecture& arch, const PanelSource& src,
             ++p1;
         return p1;
     };
+    // Acquire panels [p0, p1) as a scan window (ids only).
+    std::vector<size_t> pstart;
+    auto acquire = [&](Index p0, Index p1) {
+        pstart.resize(size_t(p1 - p0) + 1);
+        for (Index p = p0; p <= p1; ++p)
+            pstart[p - p0] = src.beginEntry(plan.tile_h, p);
+        return PanelWindow{p0, pstart,
+                           src.rowIds(pstart.front(), pstart.back()),
+                           src.colIds(pstart.front(), pstart.back()), {}};
+    };
+    auto release = [&](const PanelWindow& w) {
+        src.release(w.start.front(), w.start.back());
+        recordPeakRss();
+    };
 
     // ---- Pass A: scan + model, one panel window at a time.  Each
-    // window is validated, histogrammed, appended to the directory
-    // (global running offset), scattered into a window-local scratch
-    // for the unique-id statistics, estimated, and released.  Panels
+    // window goes through the matrix scan TileGrid uses (validation,
+    // directory append with global offsets, a window-local scatter for
+    // the unique-id statistics), is estimated, and released.  Panels
     // are independent and chunk bounds depend only on the range, so
     // every Tile and TileEstimate comes out bit-identical to the
     // in-memory TileGrid + estimateTiles path regardless of thread
     // count or window size.
     progress("scan");
     plan.panel_begin.assign(size_t(plan.num_panels) + 1, 0);
-    std::vector<PanelHist> hist;
     std::vector<Index> srows;  // window-local tiled-order row ids
     std::vector<Index> scols;  // window-local tiled-order column ids
-    std::vector<size_t> pstart;
     double scan_s = 0;
     double model_s = 0;
 
-    for (Index p0 = 0; p0 < plan.num_panels; p0 = windowEnd(p0)) {
-        const Index p1 = windowEnd(p0);
-        const Index wp = p1 - p0;
+    for (Index p0 = 0, p1; p0 < plan.num_panels; p0 = p1) {
+        p1 = windowEnd(p0);
         double t0 = monotonicSeconds();
-
-        pstart.resize(size_t(wp) + 1);
-        for (Index p = p0; p <= p1; ++p)
-            pstart[p - p0] = src.beginEntry(plan.tile_h, p);
-        const size_t wfirst = pstart.front();
-        const size_t wlast = pstart.back();
-        auto rows_sp = src.rowIds(wfirst, wlast);
-        auto cols_sp = src.colIds(wfirst, wlast);
-
-        // Validate + pass 1 histograms, parallel over the window's
-        // panels.  Row-panel membership plus in-panel (row, col) order
-        // imply global row-major order; the cross-window boundary is
-        // covered by panel membership alone.
-        hist.assign(wp, PanelHist{});
-        parallelFor(0, wp, kGrainPanels, [&](size_t pb, size_t pe) {
-            std::vector<size_t> cnt(plan.num_tcols, 0);
-            for (size_t pw = pb; pw < pe; ++pw) {
-                const Index p = p0 + Index(pw);
-                const Index prow0 = static_cast<Index>(
-                    std::min<uint64_t>(uint64_t(p) * plan.tile_h, plan.rows));
-                const Index prow1 = static_cast<Index>(std::min<uint64_t>(
-                    uint64_t(p + 1) * plan.tile_h, plan.rows));
-                PanelHist& h = hist[pw];
-                Index pr = 0, pc = 0;
-                bool first_entry = true;
-                for (size_t i = pstart[pw]; i < pstart[pw + 1]; ++i) {
-                    const Index r = rows_sp[i - wfirst];
-                    const Index c = cols_sp[i - wfirst];
-                    HT_FATAL_IF(r < prow0 || r >= prow1 || c >= plan.cols,
-                                "streamed entry ", i, " (", r, ",", c,
-                                ") outside panel ", p, " of the ", plan.rows,
-                                "x", plan.cols, " matrix");
-                    HT_FATAL_IF(!first_entry &&
-                                    (r < pr || (r == pr && c < pc)),
-                                "streamed entries not row-major sorted at ",
-                                i);
-                    first_entry = false;
-                    pr = r;
-                    pc = c;
-                    Index tc = c / plan.tile_w;
-                    if (cnt[tc]++ == 0)
-                        h.tcols.push_back(tc);
-                }
-                std::sort(h.tcols.begin(), h.tcols.end());
-                h.counts.resize(h.tcols.size());
-                for (size_t j = 0; j < h.tcols.size(); ++j) {
-                    h.counts[j] = cnt[h.tcols[j]];
-                    cnt[h.tcols[j]] = 0;
-                }
-            }
-        });
-
-        // Directory append in (panel, tcol) order.  The global nonzero
-        // offset of the window's first tile equals wfirst: offsets
-        // accumulate every previous panel's entries.
         const size_t tiles_before = plan.tiles.size();
-        size_t offset = wfirst;
-        for (Index pw = 0; pw < wp; ++pw) {
-            const Index p = p0 + pw;
-            plan.panel_begin[p] = plan.tiles.size();
-            const PanelHist& h = hist[pw];
-            for (size_t j = 0; j < h.tcols.size(); ++j) {
-                Tile t{};
-                t.panel = p;
-                t.tcol = h.tcols[j];
-                t.row0 = p * plan.tile_h;
-                t.col0 = t.tcol * plan.tile_w;
-                t.height = std::min<Index>(plan.tile_h, plan.rows - t.row0);
-                t.width = std::min<Index>(plan.tile_w, plan.cols - t.col0);
-                t.offset = offset;
-                t.nnz = h.counts[j];
-                offset += t.nnz;
-                plan.tiles.push_back(t);
-            }
-        }
-
-        // Pass 2 (window-local): stable counting-sort scatter of the
-        // window's row and column ids into tiled order — the same walk
-        // as TileGrid::build's pass 2, with positions rebased by
-        // wfirst.  Values are never touched in plan mode.
-        srows.resize(wlast - wfirst);
-        scols.resize(wlast - wfirst);
-        parallelFor(0, wp, kGrainPanels, [&](size_t pb, size_t pe) {
-            std::vector<size_t> cursor(plan.num_tcols);
-            for (size_t pw = pb; pw < pe; ++pw) {
-                const size_t first = plan.panel_begin[p0 + pw];
-                const size_t last = pw + 1 < size_t(wp)
-                                        ? plan.panel_begin[p0 + pw + 1]
-                                        : plan.tiles.size();
-                for (size_t t = first; t < last; ++t)
-                    cursor[plan.tiles[t].tcol] =
-                        plan.tiles[t].offset - wfirst;
-                for (size_t i = pstart[pw]; i < pstart[pw + 1]; ++i) {
-                    const size_t pos =
-                        cursor[cols_sp[i - wfirst] / plan.tile_w]++;
-                    srows[pos] = rows_sp[i - wfirst];
-                    scols[pos] = cols_sp[i - wfirst];
-                }
-            }
-        });
-
-        // Pass 3: per-tile unique row/column counts, exactly like
-        // TileGrid's pass 3 (rows are sorted within a tile; columns via
-        // a stamped scratch array).
-        parallelFor(tiles_before, plan.tiles.size(), kGrainTiles,
-                    [&](size_t tb, size_t te) {
-                        std::vector<uint32_t> col_stamp(plan.tile_w, 0);
-                        uint32_t generation = 0;
-                        for (size_t ti = tb; ti < te; ++ti) {
-                            Tile& t = plan.tiles[ti];
-                            ++generation;
-                            Index uniq_r = 0;
-                            Index uniq_c = 0;
-                            Index prev_row = ~Index(0);
-                            const size_t base = t.offset - wfirst;
-                            for (size_t i = base; i < base + t.nnz; ++i) {
-                                if (srows[i] != prev_row) {
-                                    ++uniq_r;
-                                    prev_row = srows[i];
-                                }
-                                Index local_c = scols[i] - t.col0;
-                                if (col_stamp[local_c] != generation) {
-                                    col_stamp[local_c] = generation;
-                                    ++uniq_c;
-                                }
-                            }
-                            t.uniq_rids = uniq_r;
-                            t.uniq_cids = uniq_c;
-                        }
-                    });
-
+        const PanelWindow w = acquire(p0, p1);
+        scanPanelWindow(shape, w, plan.tiles, plan.panel_begin, srows, scols,
+                        nullptr);
         double t1 = monotonicSeconds();
         scan_s += t1 - t0;
 
@@ -244,173 +110,70 @@ streamedPlan(const Architecture& arch, const PanelSource& src,
                                              arch.cold, opts.kernel);
                     });
         model_s += monotonicSeconds() - t1;
-
-        src.release(wfirst, wlast);
-        recordPeakRss();
+        release(w);
     }
-    plan.panel_begin[plan.num_panels] = plan.tiles.size();
     plan.timing.scan_s = scan_s;
     plan.timing.model_s = model_s;
+    srows = {};
+    scols = {};
 
-    hist.clear();
-    hist.shrink_to_fit();
-    scols.clear();
-    scols.shrink_to_fit();
-    srows.clear();
-    srows.shrink_to_fit();
-
-    // ---- Pass B: grid-free partitioning.  The heuristic sweep is a
-    // pure function of the estimates and worker counts; the §IV-C
-    // readjustment needs per-tile row walks only for untiled-traversal
-    // InterTile workers, in which case the windows are streamed once
-    // more.  Totals and cycles go through the exact code paths the
-    // in-memory hotTilesPartition uses, so the winning partition —
-    // including predicted_cycles — is bit-identical.
+    // ---- Pass B: grid-free partitioning through the partition core
+    // hotTilesPartition runs, so the winning partition — including
+    // predicted_cycles — is bit-identical.  The §IV-C readjustment
+    // reads only the directory unless a worker type is an
+    // untiled-traversal InterTile one; then it needs each tile's row
+    // ids, and the windows are streamed once more.
     progress("partition");
     double t2 = monotonicSeconds();
-    const bool no_merge =
-        arch.atomic_rmw || opts.kernel.kind == SparseKernel::Sddmm;
-    const double t_merge =
-        no_merge ? 0.0
-                 : mergeCycles(plan.rows, opts.kernel.k,
-                               arch.cold.value_bytes, arch.bwBytesPerCycle(),
-                               arch.line_bytes);
-    const double hot_bw = arch.pcie_gbps > 0
-                              ? arch.pcie_gbps / arch.freq_ghz
-                              : arch.bwBytesPerCycle();
+    const PlatformTerms pt = platformTerms(arch, opts.kernel, plan.rows);
     PartitionContext ctx = makePartitionContextFromDirectory(
-        plan.tiles.data(), plan.tiles.size(), std::move(plan.estimates),
-        arch.hot, arch.cold, opts.kernel, arch.bwBytesPerCycle(), t_merge,
-        no_merge, hot_bw);
+        plan.tiles, plan.panel_begin, std::move(plan.estimates), arch.hot,
+        arch.cold, opts.kernel, pt.bw_bytes_per_cycle, pt.t_merge_cycles,
+        pt.race_free, pt.hot_bw_bytes_per_cycle);
 
-    const std::vector<Heuristic> hs = applicableHeuristicSet(ctx);
-    std::vector<Partition> cands(hs.size());
-    parallelFor(0, hs.size(), 1, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i)
-            cands[i] = heuristicSweepCandidate(ctx, hs[i]);
-    });
-
-    const size_t n = plan.tiles.size();
     auto needsRowWalk = [](const WorkerTraits& w) {
         return w.dout_reuse == ReuseType::InterTile &&
                w.traversal != TraversalOrder::TiledRowMajor;
     };
-    const bool stream_readjust =
-        needsRowWalk(arch.hot) || needsRowWalk(arch.cold);
-
-    std::vector<std::vector<double>> extra_hot(cands.size()),
-        extra_cold(cands.size());
-    for (size_t c = 0; c < cands.size(); ++c) {
-        extra_hot[c].assign(n, 0.0);
-        extra_cold[c].assign(n, 0.0);
-    }
-    auto tile_at = [&](size_t t) -> const Tile& { return plan.tiles[t]; };
-
-    if (!stream_readjust) {
-        // Tiled-traversal (or no-reuse) workers: extras depend only on
-        // tile heights and the membership pattern — the directory is
-        // enough, no second pass over the data.
-        auto no_rows = [](size_t) { return std::span<const Index>{}; };
-        for (size_t c = 0; c < cands.size(); ++c) {
-            const std::vector<uint8_t>& is_hot = cands[c].is_hot;
-            parallelFor(
-                0, plan.num_panels, kGrainPanels,
-                [&](size_t pb, size_t pe) {
-                    ReadjustScratch scratch;
-                    scratch.rid_stamp.assign(plan.tile_h, 0);
-                    for (size_t p = pb; p < pe; ++p) {
-                        const size_t first = plan.panel_begin[p];
-                        const size_t last = plan.panel_begin[p + 1];
-                        panelReadjustExtras(
-                            arch.hot, opts.kernel, is_hot.data(), true,
-                            first, last, tile_at, no_rows,
-                            scratch.rid_stamp, scratch.generation,
-                            extra_hot[c].data() + first);
-                        panelReadjustExtras(
-                            arch.cold, opts.kernel, is_hot.data(), false,
-                            first, last, tile_at, no_rows,
-                            scratch.rid_stamp, scratch.generation,
-                            extra_cold[c].data() + first);
-                    }
-                });
-        }
+    if (!needsRowWalk(arch.hot) && !needsRowWalk(arch.cold)) {
+        plan.partition = hotTilesPartition(ctx);
     } else {
-        // Untiled InterTile workers: stream the windows again, scatter
-        // each window's row ids into tiled order, and run the shared
-        // readjust template per candidate.  Per-panel extras are
-        // independent, so the window decomposition cannot change them.
-        for (Index p0 = 0; p0 < plan.num_panels; p0 = windowEnd(p0)) {
-            const Index p1 = windowEnd(p0);
-            const Index wp = p1 - p0;
-            pstart.resize(size_t(wp) + 1);
-            for (Index p = p0; p <= p1; ++p)
-                pstart[p - p0] = src.beginEntry(plan.tile_h, p);
-            const size_t wfirst = pstart.front();
-            const size_t wlast = pstart.back();
-            auto rows_sp = src.rowIds(wfirst, wlast);
-            auto cols_sp = src.colIds(wfirst, wlast);
-
-            srows.resize(wlast - wfirst);
-            parallelFor(0, wp, kGrainPanels, [&](size_t pb, size_t pe) {
-                std::vector<size_t> cursor(plan.num_tcols);
-                for (size_t pw = pb; pw < pe; ++pw) {
-                    const Index p = p0 + Index(pw);
-                    for (size_t t = plan.panel_begin[p];
-                         t < plan.panel_begin[p + 1]; ++t)
-                        cursor[plan.tiles[t].tcol] =
-                            plan.tiles[t].offset - wfirst;
-                    for (size_t i = pstart[pw]; i < pstart[pw + 1]; ++i)
-                        srows[cursor[cols_sp[i - wfirst] / plan.tile_w]++] =
-                            rows_sp[i - wfirst];
+        // Per-panel scores are independent, so the window decomposition
+        // cannot change them; one re-stream serves every candidate.
+        plan.partition = hotTilesPartitionWith(
+            ctx, [&](std::vector<Partition>& cands) {
+                std::vector<AssignmentScore> scores(cands.size());
+                for (AssignmentScore& sc : scores) {
+                    sc.bytes.resize(plan.tiles.size());
+                    sc.time.resize(plan.tiles.size());
                 }
+                for (Index p0 = 0, p1; p0 < plan.num_panels; p0 = p1) {
+                    p1 = windowEnd(p0);
+                    const PanelWindow w = acquire(p0, p1);
+                    srows.resize(w.rows.size());
+                    scatterPanelWindow(shape, w, plan.tiles,
+                                       plan.panel_begin, srows.data(),
+                                       nullptr, nullptr);
+                    auto rows_of = [&](size_t t) {
+                        return std::span<const Index>(
+                            srows.data() +
+                                (plan.tiles[t].offset - w.start.front()),
+                            plan.tiles[t].nnz);
+                    };
+                    for (size_t c = 0; c < cands.size(); ++c)
+                        assignmentScoreWindow(ctx, cands[c].is_hot, p0, p1,
+                                              rows_of, scores[c]);
+                    release(w);
+                }
+                for (size_t c = 0; c < cands.size(); ++c)
+                    cands[c].predicted_cycles = predictedCycles(
+                        ctx,
+                        reduceAssignmentScore(ctx, cands[c].is_hot,
+                                              scores[c]),
+                        cands[c].serial);
             });
-
-            auto rows_of = [&](size_t t) {
-                return std::span<const Index>(
-                    srows.data() + (plan.tiles[t].offset - wfirst),
-                    plan.tiles[t].nnz);
-            };
-            for (size_t c = 0; c < cands.size(); ++c) {
-                const std::vector<uint8_t>& is_hot = cands[c].is_hot;
-                parallelFor(
-                    p0, p1, kGrainPanels, [&](size_t pb, size_t pe) {
-                        ReadjustScratch scratch;
-                        scratch.rid_stamp.assign(plan.tile_h, 0);
-                        for (size_t p = pb; p < pe; ++p) {
-                            const size_t first = plan.panel_begin[p];
-                            const size_t last = plan.panel_begin[p + 1];
-                            panelReadjustExtras(
-                                arch.hot, opts.kernel, is_hot.data(), true,
-                                first, last, tile_at, rows_of,
-                                scratch.rid_stamp, scratch.generation,
-                                extra_hot[c].data() + first);
-                            panelReadjustExtras(
-                                arch.cold, opts.kernel, is_hot.data(),
-                                false, first, last, tile_at, rows_of,
-                                scratch.rid_stamp, scratch.generation,
-                                extra_cold[c].data() + first);
-                        }
-                    });
-            }
-            src.release(wfirst, wlast);
-            recordPeakRss();
-        }
     }
-    srows.clear();
-    srows.shrink_to_fit();
-
-    for (size_t c = 0; c < cands.size(); ++c) {
-        AssignmentTotals totals = assignmentTotalsWithExtras(
-            ctx, cands[c].is_hot, extra_hot[c], extra_cold[c]);
-        cands[c].predicted_cycles = cands[c].serial
-                                        ? predictedSerialCycles(ctx, totals)
-                                        : predictedParallelCycles(ctx, totals);
-        extra_hot[c].clear();
-        extra_hot[c].shrink_to_fit();
-        extra_cold[c].clear();
-        extra_cold[c].shrink_to_fit();
-    }
-    plan.partition = cands[bestPartitionIndex(cands)];
+    srows = {};
     plan.estimates = std::move(ctx.estimates);
     plan.timing.partition_s = monotonicSeconds() - t2;
 

@@ -332,6 +332,7 @@ DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
     rc.grid = &grid;
     rc.plan = &plan;
     rc.ops = &kernels::activeOps();
+    const kernels::Tier tier = kernels::activeTier();
     rc.policy = opts_.policy;
     rc.k = k;
     rc.din = cells ? din.row(0) : nullptr;
@@ -487,6 +488,10 @@ DenseMatrix NativeCpuBackend::run(const TileGrid& grid, const Partition& p,
     reg.counter("exec.native.stolen_tasks")
         .add(rep.hot.stolen_tasks + rep.cold.stolen_tasks);
     reg.counter("exec.native.requeued_tasks").add(rep.requeued_tasks);
+    // The tasks call the tier tables directly; count them like the
+    // parallel wrappers count theirs.
+    kernels::countDispatches("spmm_coo", tier, rep.hot.tasks);
+    kernels::countDispatches("spmm_csr", tier, rep.cold.tasks);
     reg.gauge("exec.native.gflops").set(rep.gflops);
 
     if (report)

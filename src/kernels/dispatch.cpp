@@ -124,10 +124,7 @@ class KernelScope
     explicit KernelScope(const char* op)
         : timer_(std::string("kernel.time.") + op)
     {
-        MetricsRegistry::global()
-            .counter(std::string("kernel.dispatch.") + op + "." +
-                     tierName(activeTier()))
-            .add();
+        countDispatches(op, activeTier(), 1);
     }
 
   private:
@@ -135,6 +132,14 @@ class KernelScope
 };
 
 } // namespace
+
+void
+countDispatches(const char* op, Tier tier, uint64_t n)
+{
+    MetricsRegistry::global()
+        .counter(std::string("kernel.dispatch.") + op + "." + tierName(tier))
+        .add(n);
+}
 
 Tier
 activeTier()

@@ -30,6 +30,10 @@ const KernelOps& activeOps();
 /** Tier activeOps() currently resolves to. */
 Tier activeTier();
 
+/** Add @p n calls of @p op on @p tier to `kernel.dispatch.<op>.<tier>`;
+ *  callers of the raw tables count their calls through this. */
+void countDispatches(const char* op, Tier tier, uint64_t n);
+
 /**
  * Force (or un-force) the scalar tier for this process.  Overrides the
  * HOTTILES_FORCE_SCALAR environment variable in both directions.

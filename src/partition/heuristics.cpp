@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -25,13 +27,17 @@ heuristicName(Heuristic h)
     HT_PANIC("unreachable heuristic");
 }
 
+SortKey
+sortKeyOf(Heuristic h)
+{
+    return h == Heuristic::MinTimeParallel || h == Heuristic::MinTimeSerial
+               ? SortKey::MinTime
+               : SortKey::MinByte;
+}
+
 namespace {
 
-bool
-isMinTime(Heuristic h)
-{
-    return h == Heuristic::MinTimeParallel || h == Heuristic::MinTimeSerial;
-}
+constexpr SortKey kSortKeys[] = {SortKey::MinTime, SortKey::MinByte};
 
 bool
 isSerial(Heuristic h)
@@ -52,27 +58,37 @@ applicableHeuristics(const PartitionContext& ctx)
             Heuristic::MinByteParallel, Heuristic::MinByteSerial};
 }
 
-/** @p h's sort key for tile @p i: hot - cold time or byte difference. */
-double
-tileKey(const PartitionContext& ctx, bool min_time, size_t i)
+/** Sweep costs (hot, cold) of tile @p i under @p key. */
+std::pair<double, double>
+tileCosts(const PartitionContext& ctx, SortKey key, size_t i)
 {
     const TileEstimate& e = ctx.estimates[i];
-    return min_time ? e.th - e.tc : e.bh - e.bc;
+    return key == SortKey::MinTime ? std::pair{e.th, e.tc}
+                                   : std::pair{e.bh, e.bc};
+}
+
+/** Sort key of tile @p i: its hot - cold cost difference. */
+double
+tileKey(const PartitionContext& ctx, SortKey key, size_t i)
+{
+    const auto [hot, cold] = tileCosts(ctx, key, i);
+    return hot - cold;
 }
 
 /**
- * Sort tile indices by increasing hot - cold difference of the
- * heuristic's key (execution time or bytes): tiles that favor hot
- * workers come first (Fig 8 "tile ordering").  Ties break by tile id,
- * making the sequence a total order — a pure function of the estimates,
- * independent of the sort algorithm — so the delta path can maintain it
- * by merging instead of re-sorting (docs/INCREMENTAL.md).
+ * Sort tile indices by increasing hot - cold difference of @p key:
+ * tiles that favor hot workers come first (Fig 8 "tile ordering").
+ * Ties break by tile id, making the sequence a total order — a pure
+ * function of the estimates, independent of the sort algorithm — so
+ * the delta path can maintain it by merging instead of re-sorting
+ * (docs/INCREMENTAL.md).  The sweep costs (and, for the delta cache,
+ * the panels) are gathered aligned with the order.
  */
-std::vector<size_t>
-sortedOrder(const PartitionContext& ctx, Heuristic h)
+void
+buildKeyOrder(const PartitionContext& ctx, bool with_panel, KeyOrder& ko)
 {
+    const SortKey key = ko.key;
     const size_t n = ctx.estimates.size();
-    const bool min_time = isMinTime(h);
     // Sort (key, id) pairs instead of bare indices: every compare then
     // reads contiguous memory instead of gathering two estimates, which
     // more than pays for carrying the id alongside.
@@ -84,15 +100,25 @@ sortedOrder(const PartitionContext& ctx, Heuristic h)
     std::vector<KeyId> kv(n);
     parallelFor(0, n, kGrainTiles, [&](size_t b, size_t e_end) {
         for (size_t i = b; i < e_end; ++i)
-            kv[i] = {tileKey(ctx, min_time, i), i};
+            kv[i] = {tileKey(ctx, key, i), i};
     });
     std::sort(kv.begin(), kv.end(), [](const KeyId& a, const KeyId& b) {
         return a.key != b.key ? a.key < b.key : a.id < b.id;
     });
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i)
-        order[i] = kv[i].id;
-    return order;
+
+    ko.order.resize(n);
+    ko.hot_cost.resize(n);
+    ko.cold_cost.resize(n);
+    ko.panel.resize(with_panel ? n : 0);
+    parallelFor(0, n, kGrainTiles, [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) {
+            const size_t t = kv[i].id;
+            ko.order[i] = t;
+            std::tie(ko.hot_cost[i], ko.cold_cost[i]) = tileCosts(ctx, key, t);
+            if (with_panel)
+                ko.panel[i] = ctx.tileAt(t).panel;
+        }
+    });
 }
 
 /**
@@ -119,26 +145,21 @@ objective(Heuristic h, const PartitionContext& ctx, double hot_prefix,
 }
 
 /**
- * The cutoff sweep over a sorted order with its per-tile costs already
- * gathered (hot_cost[i]/cold_cost[i] belong to order[i]): prefix/suffix
- * sums, move the cutoff right while the subproblem objective decreases,
- * roll back at the first increase (§V-B).  Fills everything but
- * predicted_cycles.  Shared by the fresh and delta paths so their
- * arithmetic (including the ordered-combine cold-cost reduction) is the
- * same code.
+ * The cutoff sweep over @p h's key order: prefix/suffix sums, move the
+ * cutoff right while the subproblem objective decreases, roll back at
+ * the first increase (§V-B).  Fills everything but predicted_cycles.
+ * Shared by the fresh and delta paths so their arithmetic (including
+ * the ordered-combine cold-cost reduction) is the same code.
  */
 Partition
-sweepFromCosts(const PartitionContext& ctx, Heuristic h,
-               const std::vector<size_t>& order,
-               const std::vector<double>& hot_cost,
-               const std::vector<double>& cold_cost)
+sweep(const PartitionContext& ctx, Heuristic h, const KeyOrder& ko)
 {
-    const size_t n = order.size();
+    const size_t n = ko.order.size();
     double cold_total = parallelReduce(
         0, n, kGrainTiles, 0.0,
         [&](size_t b, size_t e) {
-            return std::accumulate(cold_cost.begin() + b,
-                                   cold_cost.begin() + e, 0.0);
+            return std::accumulate(ko.cold_cost.begin() + b,
+                                   ko.cold_cost.begin() + e, 0.0);
         },
         [](double a, double b) { return a + b; });
 
@@ -147,8 +168,8 @@ sweepFromCosts(const PartitionContext& ctx, Heuristic h,
     double cold_suffix = cold_total;
     double best = objective(h, ctx, hot_prefix, cold_suffix);
     while (cutoff < n) {
-        double next_hot = hot_prefix + hot_cost[cutoff];
-        double next_cold = cold_suffix - cold_cost[cutoff];
+        double next_hot = hot_prefix + ko.hot_cost[cutoff];
+        double next_cold = cold_suffix - ko.cold_cost[cutoff];
         double candidate = objective(h, ctx, next_hot, next_cold);
         if (candidate >= best)
             break;
@@ -161,84 +182,69 @@ sweepFromCosts(const PartitionContext& ctx, Heuristic h,
     Partition p;
     p.is_hot.assign(n, 0);
     for (size_t i = 0; i < cutoff; ++i)
-        p.is_hot[order[i]] = 1;
+        p.is_hot[ko.order[i]] = 1;
     p.serial = isSerial(h);
     p.heuristic = heuristicName(h);
     return p;
 }
 
-/** Gather the sweep costs of @p order from the estimates. */
-void
-gatherCosts(const PartitionContext& ctx, bool min_time,
-            const std::vector<size_t>& order, std::vector<double>& hot_cost,
-            std::vector<double>& cold_cost)
+/**
+ * The partition core's candidates: per SortKey (the keys run
+ * concurrently), @p order fills the key's order — a sort, or the delta
+ * cache's merge — and every applicable heuristic of the key sweeps it.
+ * The orders land in @p keys; with @p release each is dropped once
+ * swept, so a fresh partition holds one order per running key.
+ * Candidates come back in run order with predicted_cycles left 0.
+ */
+std::vector<Partition>
+sweepKeys(const PartitionContext& ctx, const std::vector<Heuristic>& hs,
+          std::vector<KeyOrder>& keys, bool release,
+          const std::function<void(KeyOrder&)>& order)
 {
-    const size_t n = order.size();
-    hot_cost.resize(n);
-    cold_cost.resize(n);
-    parallelFor(0, n, kGrainTiles, [&](size_t b, size_t e_end) {
-        for (size_t i = b; i < e_end; ++i) {
-            const TileEstimate& e = ctx.estimates[order[i]];
-            hot_cost[i] = min_time ? e.th : e.bh;
-            cold_cost[i] = min_time ? e.tc : e.bc;
+    std::vector<Partition> cands(hs.size());
+    keys.resize(std::size(kSortKeys));
+    parallelFor(0, keys.size(), 1, [&](size_t b, size_t e) {
+        for (size_t k = b; k < e; ++k) {
+            keys[k].key = kSortKeys[k];
+            order(keys[k]);
+            for (size_t i = 0; i < hs.size(); ++i)
+                if (sortKeyOf(hs[i]) == keys[k].key)
+                    cands[i] = sweep(ctx, hs[i], keys[k]);
+            if (release)
+                keys[k] = KeyOrder{};
         }
     });
+    return cands;
 }
 
-/** Sweep a sorted order, gathering its costs first (fresh path). */
-Partition
-sweepFromOrder(const PartitionContext& ctx, Heuristic h,
-               const std::vector<size_t>& order)
+/** The default scorer: each candidate's final predicted runtime. */
+void
+scoreCandidates(const PartitionContext& ctx, std::vector<Partition>& cands)
 {
-    std::vector<double> hot_cost, cold_cost;
-    gatherCosts(ctx, isMinTime(h), order, hot_cost, cold_cost);
-    return sweepFromCosts(ctx, h, order, hot_cost, cold_cost);
-}
-
-/** Finish a candidate from its totals (Eq 5 / Eq 7). */
-double
-cyclesFromTotals(const PartitionContext& ctx, bool serial,
-                 const AssignmentTotals& t)
-{
-    return serial ? predictedSerialCycles(ctx, t)
-                  : predictedParallelCycles(ctx, t);
-}
-
-/** runHeuristic that also captures the sweep state for delta updates. */
-Partition
-runHeuristicSeed(const PartitionContext& ctx, Heuristic h,
-                 HeuristicState& st)
-{
-    st.h = h;
-    st.order = sortedOrder(ctx, h);
-    gatherCosts(ctx, isMinTime(h), st.order, st.hot_cost, st.cold_cost);
-    st.panel.resize(st.order.size());
-    parallelFor(0, st.order.size(), kGrainTiles, [&](size_t b, size_t e) {
+    parallelFor(0, cands.size(), 1, [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i)
-            st.panel[i] = ctx.grid->tile(st.order[i]).panel;
+            cands[i].predicted_cycles =
+                predictedRuntimeCycles(ctx, cands[i].is_hot, cands[i].serial);
     });
-    Partition p = sweepFromCosts(ctx, h, st.order, st.hot_cost, st.cold_cost);
-    assignmentScore(ctx, p.is_hot, st.score);
-    p.predicted_cycles = cyclesFromTotals(
-        ctx, p.serial, reduceAssignmentScore(ctx, p.is_hot, st.score));
-    st.is_hot = p.is_hot;
-    return p;
 }
 
 /**
- * One heuristic's incremental step: merge dirty-panel tiles into the
- * cached order, re-sweep, and score with per-panel reuse.  A panel's
- * cached score entries are spliced when the panel is clean and its
- * membership pattern is unchanged; every other panel is recomputed.
+ * One key's incremental step: merge dirty-panel tiles into the cached
+ * order.  Survivors keep their keys (clean-panel estimates were spliced
+ * bit-identically) and their relative order (the old->new id remap
+ * shifts whole panels, so it is monotonic); one linear merge rebuilds
+ * the total order without re-sorting the clean majority.  The sweep
+ * costs ride along: survivors copy their cached value, fresh tiles read
+ * theirs once — the values match a from-scratch gather bit-for-bit, so
+ * the shared sweep does too.
  */
-Partition
-runHeuristicDelta(const PartitionContext& ctx, Heuristic h,
-                  const TileGridDelta& gd, HeuristicState& st)
+void
+mergeKeyDelta(const PartitionContext& ctx, const TileGridDelta& gd,
+              KeyOrder& ko)
 {
     const TileGrid& grid = *ctx.grid;
     const size_t n = grid.numTiles();
-    HT_ASSERT(st.h == h, "sweep cache heuristic mismatch");
-    HT_ASSERT(st.order.size() == gd.old_num_tiles,
+    HT_ASSERT(ko.order.size() == gd.old_num_tiles,
               "sweep cache is stale: order does not match the old grid");
 
     // Per-panel old->new tile-id shift (clean panels move as a block).
@@ -247,10 +253,9 @@ runHeuristicDelta(const PartitionContext& ctx, Heuristic h,
     for (size_t p = 0; p < np; ++p)
         shift[p] = ptrdiff_t(grid.panelTiles(Index(p)).first) -
                    ptrdiff_t(gd.old_panel_begin[p]);
-    const bool min_time = isMinTime(h);
     auto less = [&](size_t a, size_t b) {
-        const double ka = tileKey(ctx, min_time, a);
-        const double kb = tileKey(ctx, min_time, b);
+        const double ka = tileKey(ctx, ko.key, a);
+        const double kb = tileKey(ctx, ko.key, b);
         return ka != kb ? ka < kb : a < b;
     };
 
@@ -263,18 +268,10 @@ runHeuristicDelta(const PartitionContext& ctx, Heuristic h,
     }
     std::sort(fresh.begin(), fresh.end(), less);
 
-    // Survivors keep their keys (clean-panel estimates were spliced
-    // bit-identically) and their relative order (the old->new id remap
-    // shifts whole panels, so it is monotonic); one linear merge
-    // rebuilds the total order without re-sorting the clean majority.
-    // The sweep costs ride along: survivors copy their cached value
-    // (the estimate did not move), fresh tiles read theirs once — the
-    // values match a from-scratch gather bit-for-bit, so the shared
-    // sweep does too.
-    std::vector<size_t> merged = std::move(st.order_scratch);
-    std::vector<Index> merged_panel = std::move(st.panel_scratch);
-    std::vector<double> merged_hot = std::move(st.hot_scratch);
-    std::vector<double> merged_cold = std::move(st.cold_scratch);
+    std::vector<size_t> merged = std::move(ko.order_scratch);
+    std::vector<Index> merged_panel = std::move(ko.panel_scratch);
+    std::vector<double> merged_hot = std::move(ko.hot_scratch);
+    std::vector<double> merged_cold = std::move(ko.cold_scratch);
     merged.clear();
     merged_panel.clear();
     merged_hot.clear();
@@ -284,45 +281,52 @@ runHeuristicDelta(const PartitionContext& ctx, Heuristic h,
     merged_hot.reserve(n);
     merged_cold.reserve(n);
     auto emitFresh = [&](size_t t) {
-        const TileEstimate& e = ctx.estimates[t];
+        const auto [hot, cold] = tileCosts(ctx, ko.key, t);
         merged.push_back(t);
         merged_panel.push_back(grid.tile(t).panel);
-        merged_hot.push_back(min_time ? e.th : e.bh);
-        merged_cold.push_back(min_time ? e.tc : e.bc);
+        merged_hot.push_back(hot);
+        merged_cold.push_back(cold);
     };
     size_t fi = 0;
-    for (size_t oi = 0; oi < st.order.size(); ++oi) {
-        const Index p = st.panel[oi];
+    for (size_t oi = 0; oi < ko.order.size(); ++oi) {
+        const Index p = ko.panel[oi];
         if (gd.panelDirty(p))
             continue;
-        const size_t t_new = size_t(ptrdiff_t(st.order[oi]) + shift[p]);
+        const size_t t_new = size_t(ptrdiff_t(ko.order[oi]) + shift[p]);
         while (fi < fresh.size() && less(fresh[fi], t_new))
             emitFresh(fresh[fi++]);
         merged.push_back(t_new);
         merged_panel.push_back(p);
-        merged_hot.push_back(st.hot_cost[oi]);
-        merged_cold.push_back(st.cold_cost[oi]);
+        merged_hot.push_back(ko.hot_cost[oi]);
+        merged_cold.push_back(ko.cold_cost[oi]);
     }
     while (fi < fresh.size())
         emitFresh(fresh[fi++]);
     HT_ASSERT(merged.size() == n, "order merge lost tiles");
-    std::swap(st.order, merged);
-    std::swap(st.panel, merged_panel);
-    std::swap(st.hot_cost, merged_hot);
-    std::swap(st.cold_cost, merged_cold);
-    st.order_scratch = std::move(merged);
-    st.panel_scratch = std::move(merged_panel);
-    st.hot_scratch = std::move(merged_hot);
-    st.cold_scratch = std::move(merged_cold);
+    std::swap(ko.order, merged);
+    std::swap(ko.panel, merged_panel);
+    std::swap(ko.hot_cost, merged_hot);
+    std::swap(ko.cold_cost, merged_cold);
+    ko.order_scratch = std::move(merged);
+    ko.panel_scratch = std::move(merged_panel);
+    ko.hot_scratch = std::move(merged_hot);
+    ko.cold_scratch = std::move(merged_cold);
+}
 
-    Partition p = sweepFromCosts(ctx, h, st.order, st.hot_cost, st.cold_cost);
-
-    // Score the candidate: splice cached per-tile entries for panels
-    // that are clean and whose membership pattern is unchanged (their
-    // extras, and therefore their contributions, are identical);
-    // recompute the rest.  The final reduce runs over the whole grid in
-    // the same chunk order as a fresh score, so the totals match
-    // bit-for-bit.
+/**
+ * Score @p p with per-panel reuse: splice cached per-tile entries for
+ * panels that are clean and whose membership pattern is unchanged
+ * (their extras, and therefore their contributions, are identical);
+ * recompute the rest.  The final reduce runs over the whole grid in the
+ * same chunk order as a fresh score, so the totals match bit-for-bit.
+ */
+void
+scoreDelta(const PartitionContext& ctx, const TileGridDelta& gd,
+           Partition& p, HeuristicState& st)
+{
+    const TileGrid& grid = *ctx.grid;
+    const size_t n = grid.numTiles();
+    const size_t np = grid.numPanels();
     AssignmentScore s = std::move(st.score_scratch);
     s.bytes.resize(n);
     s.time.resize(n);
@@ -350,24 +354,40 @@ runHeuristicDelta(const PartitionContext& ctx, Heuristic h,
             recompute.push_back(Index(pp));
     assignmentScorePanels(ctx, p.is_hot, recompute, s);
 
-    p.predicted_cycles = cyclesFromTotals(
-        ctx, p.serial, reduceAssignmentScore(ctx, p.is_hot, s));
+    p.predicted_cycles = predictedCycles(
+        ctx, reduceAssignmentScore(ctx, p.is_hot, s), p.serial);
     std::swap(st.score, s);
     st.score_scratch = std::move(s);
     st.is_hot = p.is_hot;
-    return p;
 }
 
 /** Lowest predicted runtime wins; ties keep the earlier heuristic. */
-size_t
-bestCandidate(const std::vector<Partition>& candidates)
+Partition
+bestCandidate(std::vector<Partition> candidates)
 {
     HT_ASSERT(!candidates.empty(), "no heuristics ran");
     size_t best = 0;
     for (size_t i = 1; i < candidates.size(); ++i)
         if (candidates[i].predicted_cycles < candidates[best].predicted_cycles)
             best = i;
-    return best;
+    return std::move(candidates[best]);
+}
+
+/**
+ * The partition core for a fresh context: one sort per SortKey, one
+ * sweep per applicable heuristic from its key's order, then @p score.
+ */
+std::vector<Partition>
+scoredCandidates(const PartitionContext& ctx, const CandidateScorer& score)
+{
+    HT_ASSERT(ctx.estimates.size() == ctx.numTiles(),
+              "context/estimates mismatch");
+    std::vector<KeyOrder> keys;
+    std::vector<Partition> cands = sweepKeys(
+        ctx, applicableHeuristics(ctx), keys, /*release=*/true,
+        [&](KeyOrder& ko) { buildKeyOrder(ctx, /*with_panel=*/false, ko); });
+    score(cands);
+    return cands;
 }
 
 } // namespace
@@ -375,70 +395,62 @@ bestCandidate(const std::vector<Partition>& candidates)
 Partition
 runHeuristic(const PartitionContext& ctx, Heuristic h)
 {
-    const size_t n = ctx.estimates.size();
-    HT_ASSERT(n == ctx.numTiles(), "context/grid mismatch");
-    Partition p = sweepFromOrder(ctx, h, sortedOrder(ctx, h));
+    HT_ASSERT(ctx.estimates.size() == ctx.numTiles(), "context/grid mismatch");
+    KeyOrder ko;
+    ko.key = sortKeyOf(h);
+    buildKeyOrder(ctx, /*with_panel=*/false, ko);
+    Partition p = sweep(ctx, h, ko);
     p.predicted_cycles = predictedRuntimeCycles(ctx, p.is_hot, p.serial);
     return p;
-}
-
-std::vector<Heuristic>
-applicableHeuristicSet(const PartitionContext& ctx)
-{
-    return applicableHeuristics(ctx);
-}
-
-Partition
-heuristicSweepCandidate(const PartitionContext& ctx, Heuristic h)
-{
-    HT_ASSERT(ctx.estimates.size() == ctx.numTiles(),
-              "context/estimates mismatch");
-    return sweepFromOrder(ctx, h, sortedOrder(ctx, h));
-}
-
-size_t
-bestPartitionIndex(const std::vector<Partition>& candidates)
-{
-    return bestCandidate(candidates);
 }
 
 std::vector<Partition>
 allHeuristicPartitions(const PartitionContext& ctx)
 {
-    std::vector<Heuristic> hs = applicableHeuristics(ctx);
-    // The heuristics are independent; run them concurrently.  Each slot
-    // is written by exactly one chunk, and nested parallel loops inside
-    // runHeuristic degrade gracefully to inline execution.
-    std::vector<Partition> out(hs.size());
-    parallelFor(0, hs.size(), 1, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i)
-            out[i] = runHeuristic(ctx, hs[i]);
+    return scoredCandidates(ctx, [&](std::vector<Partition>& cands) {
+        scoreCandidates(ctx, cands);
     });
-    return out;
 }
 
 Partition
 hotTilesPartition(const PartitionContext& ctx)
 {
-    return hotTilesPartition(ctx, nullptr);
+    ScopedTimer timer("partition.heuristics");
+    return bestCandidate(allHeuristicPartitions(ctx));
+}
+
+Partition
+hotTilesPartitionWith(const PartitionContext& ctx,
+                      const CandidateScorer& score)
+{
+    ScopedTimer timer("partition.heuristics");
+    return bestCandidate(scoredCandidates(ctx, score));
 }
 
 Partition
 hotTilesPartition(const PartitionContext& ctx, PartitionSweepCache* cache)
 {
+    if (!cache)
+        return hotTilesPartition(ctx);
     ScopedTimer timer("partition.heuristics");
-    if (!cache) {
-        std::vector<Partition> candidates = allHeuristicPartitions(ctx);
-        return candidates[bestCandidate(candidates)];
-    }
-    std::vector<Heuristic> hs = applicableHeuristics(ctx);
+    HT_ASSERT(ctx.grid, "the sweep cache needs a grid-backed context");
+    const std::vector<Heuristic> hs = applicableHeuristics(ctx);
+    std::vector<Partition> cands = sweepKeys(
+        ctx, hs, cache->keys, /*release=*/false,
+        [&](KeyOrder& ko) { buildKeyOrder(ctx, /*with_panel=*/true, ko); });
     cache->states.assign(hs.size(), HeuristicState{});
-    std::vector<Partition> out(hs.size());
     parallelFor(0, hs.size(), 1, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i)
-            out[i] = runHeuristicSeed(ctx, hs[i], cache->states[i]);
+        for (size_t i = b; i < e; ++i) {
+            HeuristicState& st = cache->states[i];
+            st.h = hs[i];
+            assignmentScore(ctx, cands[i].is_hot, st.score);
+            cands[i].predicted_cycles = predictedCycles(
+                ctx, reduceAssignmentScore(ctx, cands[i].is_hot, st.score),
+                cands[i].serial);
+            st.is_hot = cands[i].is_hot;
+        }
     });
-    return out[bestCandidate(out)];
+    return bestCandidate(std::move(cands));
 }
 
 Partition
@@ -446,16 +458,22 @@ hotTilesPartitionDelta(const PartitionContext& ctx, const TileGridDelta& gd,
                        PartitionSweepCache& cache)
 {
     ScopedTimer timer("partition.heuristics_delta");
-    std::vector<Heuristic> hs = applicableHeuristics(ctx);
-    HT_ASSERT(cache.states.size() == hs.size(),
+    const std::vector<Heuristic> hs = applicableHeuristics(ctx);
+    HT_ASSERT(cache.states.size() == hs.size() &&
+                  cache.keys.size() == std::size(kSortKeys),
               "sweep cache does not match the applicable heuristic set");
 
-    std::vector<Partition> out(hs.size());
+    std::vector<Partition> cands =
+        sweepKeys(ctx, hs, cache.keys, /*release=*/false,
+                  [&](KeyOrder& ko) { mergeKeyDelta(ctx, gd, ko); });
     parallelFor(0, hs.size(), 1, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i)
-            out[i] = runHeuristicDelta(ctx, hs[i], gd, cache.states[i]);
+        for (size_t i = b; i < e; ++i) {
+            HT_ASSERT(cache.states[i].h == hs[i],
+                      "sweep cache heuristic mismatch");
+            scoreDelta(ctx, gd, cands[i], cache.states[i]);
+        }
     });
-    return out[bestCandidate(out)];
+    return bestCandidate(std::move(cands));
 }
 
 Partition

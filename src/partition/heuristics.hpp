@@ -10,6 +10,9 @@
  * O(N log N).
  */
 
+#include <functional>
+#include <vector>
+
 #include "partition/partition.hpp"
 #include "partition/predicted_runtime.hpp"
 
@@ -39,71 +42,84 @@ Partition runHeuristic(const PartitionContext& ctx, Heuristic h);
 /**
  * The full HotTiles partitioner: run all four heuristics (only the two
  * Parallel ones when the architecture has atomic RMW support) and keep
- * the one with the lowest predicted runtime.
+ * the one with the lowest predicted runtime.  Tiles are sorted once
+ * per SortKey; each sort serves that key's Parallel and Serial sweeps.
  */
 Partition hotTilesPartition(const PartitionContext& ctx);
 
 /**
- * The heuristics hotTilesPartition would run for @p ctx, in run order
- * (all four, or only the Parallel pair under atomic RMW).  Exposed for
- * the out-of-core planner, which evaluates the same candidate set
- * without a grid (docs/OUTOFCORE.md).
+ * Fills predicted_cycles of every candidate (is_hot, serial and
+ * heuristic are set, in run order).
  */
-std::vector<Heuristic> applicableHeuristicSet(const PartitionContext& ctx);
+using CandidateScorer = std::function<void(std::vector<Partition>&)>;
 
 /**
- * One heuristic's sort + cutoff sweep only: the candidate assignment
- * with serial/heuristic filled in but predicted_cycles left 0.  Needs
- * nothing beyond ctx.estimates and the worker counts, so it works on
- * grid-free contexts; identical to the assignment runHeuristic scores.
+ * hotTilesPartition with caller-supplied scoring — for the out-of-core
+ * planner, whose untiled readjustment streams the row ids back in
+ * (docs/OUTOFCORE.md).  The winner matches hotTilesPartition's when
+ * the scorer computes what predictedRuntimeCycles would.
  */
-Partition heuristicSweepCandidate(const PartitionContext& ctx, Heuristic h);
+Partition hotTilesPartitionWith(const PartitionContext& ctx,
+                                const CandidateScorer& score);
 
-/**
- * Index of the winning candidate: lowest predicted_cycles, ties keep
- * the earlier entry — the exact rule hotTilesPartition applies.
- */
-size_t bestPartitionIndex(const std::vector<Partition>& candidates);
-
-/**
- * Cached state of one heuristic's last sweep: the sorted tile order
- * (total order — ties broken by tile id, so the sequence is a pure
- * function of the estimates and can be maintained by merging), the
- * per-tile sweep costs aligned with that order (merged alongside it,
- * sparing the delta path a random-gather pass over the estimates), the
- * candidate assignment that was scored, and its per-tile score.
- */
-struct HeuristicState
+/** The two tile orders of §V-B (Fig 8 "tile ordering"). */
+enum class SortKey
 {
-    Heuristic h = Heuristic::MinTimeParallel;
+    MinTime,  //!< by hot - cold execution time difference
+    MinByte,  //!< by hot - cold byte difference
+};
+
+/** The order @p h sweeps: its Parallel and Serial variants share one. */
+SortKey sortKeyOf(Heuristic h);
+
+/**
+ * Cached sweep input of one SortKey: the sorted tile order (total
+ * order — ties broken by tile id, so the sequence is a pure function
+ * of the estimates and can be maintained by merging), and the row
+ * panel and sweep costs aligned with it (merged alongside, sparing the
+ * delta path a random-gather pass over the estimates).
+ */
+struct KeyOrder
+{
+    SortKey key = SortKey::MinTime;
     std::vector<size_t> order;      //!< tile ids by (key, id)
     std::vector<Index> panel;       //!< row panel of order[i] (stable)
     std::vector<double> hot_cost;   //!< th or bh of order[i]
     std::vector<double> cold_cost;  //!< tc or bc of order[i]
-    std::vector<uint8_t> is_hot;    //!< the candidate that was scored
-    AssignmentScore score;          //!< its per-tile score arrays
 
-    /** Retired buffers recycled by the next delta's merge/score pass.
-     *  Updates run every few milliseconds in a serving loop, and
-     *  releasing multi-megabyte vectors each round just to mmap them
-     *  back dominated the delta path's wall clock. */
+    /** Retired buffers recycled by the next delta's merge.  Updates
+     *  run every few milliseconds in a serving loop, and releasing
+     *  multi-megabyte vectors each round just to mmap them back
+     *  dominated the delta path's wall clock. */
     std::vector<size_t> order_scratch;
     std::vector<Index> panel_scratch;
     std::vector<double> hot_scratch;
     std::vector<double> cold_scratch;
-    AssignmentScore score_scratch;
+};
+
+/** Cached state of one heuristic: the candidate it last scored and
+ *  that candidate's per-tile score. */
+struct HeuristicState
+{
+    Heuristic h = Heuristic::MinTimeParallel;
+    std::vector<uint8_t> is_hot;  //!< the candidate that was scored
+    AssignmentScore score;        //!< its per-tile score arrays
+    AssignmentScore score_scratch;  //!< recycled like KeyOrder's
 };
 
 /**
- * One HeuristicState per applicable heuristic, in the order
+ * The incremental partitioner's state: one KeyOrder per SortKey and
+ * one HeuristicState per applicable heuristic, in the order
  * hotTilesPartition runs them.  Seeded by hotTilesPartition(ctx,
- * &cache) and advanced in place by hotTilesPartitionDelta; roughly
- * 41 bytes per tile per heuristic, so HotTiles only materializes it
+ * &cache) and advanced in place by hotTilesPartitionDelta.  Per tile
+ * that is 28 bytes per key and 17 per heuristic (each doubled by the
+ * scratch buffers once deltas run), so HotTiles only materializes it
  * once applyDelta is first called (docs/INCREMENTAL.md).
  */
 struct PartitionSweepCache
 {
-    std::vector<HeuristicState> states;
+    std::vector<KeyOrder> keys;          //!< indexed by SortKey
+    std::vector<HeuristicState> states;  //!< applicable heuristics
 
     bool seeded() const { return !states.empty(); }
 };
@@ -113,13 +129,13 @@ Partition hotTilesPartition(const PartitionContext& ctx,
                             PartitionSweepCache* cache);
 
 /**
- * Incremental re-partitioning after a TileGrid::applyDelta: per
- * heuristic, dirty-panel tiles are merged into the cached sorted order
+ * Incremental re-partitioning after a TileGrid::applyDelta: per sort
+ * key, dirty-panel tiles are merged into the cached sorted order
  * (clean tiles keep their keys and their relative order — the old->new
- * id remap is monotonic), the cutoff sweep re-runs over the merged
- * order, and the final predicted-runtime score recomputes only panels
- * that are dirty or whose membership pattern changed, splicing every
- * other panel's cached per-tile score.  @p ctx must hold the post-delta
+ * id remap is monotonic); per heuristic, the cutoff sweep re-runs over
+ * its key's merged order, and the final predicted-runtime score
+ * recomputes only panels that are dirty or whose membership pattern
+ * changed, splicing every other panel's cached per-tile score.  @p ctx must hold the post-delta
  * grid and spliced estimates; @p cache must have been seeded against
  * the pre-delta grid.  Returns the winning partition bit-identically to
  * hotTilesPartition(ctx) and advances the cache to the new grid.

@@ -4,18 +4,20 @@
 
 namespace hottiles {
 
+namespace {
+
+/** Every field both context constructors set the same way. */
 PartitionContext
-makePartitionContext(const TileGrid& grid, const WorkerTraits& hot,
-                     const WorkerTraits& cold, const KernelConfig& kernel,
-                     double bw_bytes_per_cycle, double t_merge_cycles,
-                     bool atomic_rmw, double hot_bw_bytes_per_cycle)
+contextBase(const WorkerTraits& hot, const WorkerTraits& cold,
+            const KernelConfig& kernel, double bw_bytes_per_cycle,
+            double t_merge_cycles, bool atomic_rmw,
+            double hot_bw_bytes_per_cycle)
 {
     HT_ASSERT(hot.role == WorkerRole::Hot, "hot traits not marked hot");
     HT_ASSERT(cold.role == WorkerRole::Cold, "cold traits not marked cold");
     HT_ASSERT(bw_bytes_per_cycle > 0, "bandwidth must be positive");
 
     PartitionContext ctx;
-    ctx.grid = &grid;
     ctx.hot = &hot;
     ctx.cold = &cold;
     ctx.kernel = kernel;
@@ -26,13 +28,28 @@ makePartitionContext(const TileGrid& grid, const WorkerTraits& hot,
             : bw_bytes_per_cycle;
     ctx.atomic_rmw = atomic_rmw;
     ctx.t_merge_cycles = atomic_rmw ? 0.0 : t_merge_cycles;
+    return ctx;
+}
 
+} // namespace
+
+PartitionContext
+makePartitionContext(const TileGrid& grid, const WorkerTraits& hot,
+                     const WorkerTraits& cold, const KernelConfig& kernel,
+                     double bw_bytes_per_cycle, double t_merge_cycles,
+                     bool atomic_rmw, double hot_bw_bytes_per_cycle)
+{
+    PartitionContext ctx =
+        contextBase(hot, cold, kernel, bw_bytes_per_cycle, t_merge_cycles,
+                    atomic_rmw, hot_bw_bytes_per_cycle);
+    ctx.grid = &grid;
     ctx.estimates = estimateTiles(grid, hot, cold, kernel);
     return ctx;
 }
 
 PartitionContext
-makePartitionContextFromDirectory(const Tile* tiles, size_t num_tiles,
+makePartitionContextFromDirectory(std::span<const Tile> tiles,
+                                  std::span<const size_t> panel_begin,
                                   std::vector<TileEstimate> estimates,
                                   const WorkerTraits& hot,
                                   const WorkerTraits& cold,
@@ -41,24 +58,14 @@ makePartitionContextFromDirectory(const Tile* tiles, size_t num_tiles,
                                   double t_merge_cycles, bool atomic_rmw,
                                   double hot_bw_bytes_per_cycle)
 {
-    HT_ASSERT(hot.role == WorkerRole::Hot, "hot traits not marked hot");
-    HT_ASSERT(cold.role == WorkerRole::Cold, "cold traits not marked cold");
-    HT_ASSERT(bw_bytes_per_cycle > 0, "bandwidth must be positive");
-    HT_ASSERT(estimates.size() == num_tiles, "one estimate per tile");
-
-    PartitionContext ctx;
+    HT_ASSERT(estimates.size() == tiles.size(), "one estimate per tile");
+    HT_ASSERT(!panel_begin.empty() && panel_begin.back() == tiles.size(),
+              "panel index must end at the tile count");
+    PartitionContext ctx =
+        contextBase(hot, cold, kernel, bw_bytes_per_cycle, t_merge_cycles,
+                    atomic_rmw, hot_bw_bytes_per_cycle);
     ctx.tiles_view = tiles;
-    ctx.num_tiles_view = num_tiles;
-    ctx.hot = &hot;
-    ctx.cold = &cold;
-    ctx.kernel = kernel;
-    ctx.bw_bytes_per_cycle = bw_bytes_per_cycle;
-    ctx.hot_bw_bytes_per_cycle =
-        hot_bw_bytes_per_cycle > 0
-            ? std::min(hot_bw_bytes_per_cycle, bw_bytes_per_cycle)
-            : bw_bytes_per_cycle;
-    ctx.atomic_rmw = atomic_rmw;
-    ctx.t_merge_cycles = atomic_rmw ? 0.0 : t_merge_cycles;
+    ctx.panel_begin_view = panel_begin;
     ctx.estimates = std::move(estimates);
     return ctx;
 }

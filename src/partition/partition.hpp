@@ -8,6 +8,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,20 +51,31 @@ struct PartitionContext
     /**
      * Grid-free tile-directory view for the out-of-core planner
      * (docs/OUTOFCORE.md): the streamed pipeline retains only the O(tiles)
-     * directory, not the O(nnz) grid.  The accessors below prefer the
-     * grid whenever it is set, so contexts whose grid is later patched
-     * in place (applyDelta) never read a stale view.
+     * directory and its panel index, not the O(nnz) grid.  The accessors
+     * below prefer the grid whenever it is set, so contexts whose grid
+     * is later patched in place (applyDelta) never read a stale view.
      */
-    const Tile* tiles_view = nullptr;
-    size_t num_tiles_view = 0;
+    std::span<const Tile> tiles_view;
+    std::span<const size_t> panel_begin_view;
 
     size_t numTiles() const
     {
-        return grid ? grid->numTiles() : num_tiles_view;
+        return grid ? grid->numTiles() : tiles_view.size();
     }
     const Tile& tileAt(size_t i) const
     {
         return grid ? grid->tile(i) : tiles_view[i];
+    }
+    Index numPanels() const
+    {
+        return grid ? grid->numPanels()
+                    : Index(panel_begin_view.size() - 1);
+    }
+    /** [first, last) tile range of panel @p p. */
+    std::pair<size_t, size_t> panelTiles(Index p) const
+    {
+        return grid ? grid->panelTiles(p)
+                    : std::pair{panel_begin_view[p], panel_begin_view[p + 1]};
     }
 };
 
@@ -79,14 +91,16 @@ PartitionContext makePartitionContext(
     double hot_bw_bytes_per_cycle = 0 /* 0 = same as shared bandwidth */);
 
 /**
- * Assemble a PartitionContext from a bare tile directory and
- * already-computed estimates — the out-of-core planner's entry point,
- * where the O(nnz) grid was streamed away and only the directory
- * remains.  @p tiles must stay alive as long as the context is used.
+ * Assemble a PartitionContext from a bare tile directory, its panel
+ * index (first tile of each panel, plus the end) and already-computed
+ * estimates — the out-of-core planner's entry point, where the O(nnz)
+ * grid was streamed away and only the directory remains.  @p tiles and
+ * @p panel_begin must stay alive as long as the context is used.
  */
 PartitionContext makePartitionContextFromDirectory(
-    const Tile* tiles, size_t num_tiles, std::vector<TileEstimate> estimates,
-    const WorkerTraits& hot, const WorkerTraits& cold,
+    std::span<const Tile> tiles, std::span<const size_t> panel_begin,
+    std::vector<TileEstimate> estimates, const WorkerTraits& hot,
+    const WorkerTraits& cold,
     const KernelConfig& kernel, double bw_bytes_per_cycle,
     double t_merge_cycles, bool atomic_rmw,
     double hot_bw_bytes_per_cycle = 0);

@@ -22,6 +22,17 @@ struct PanelScratch
     std::vector<double> extra_cold;
 };
 
+/** The grid's row ids per tile, for the untiled readjustment. */
+TileRowsFn
+gridRows(const PartitionContext& ctx)
+{
+    return [&ctx](size_t t) {
+        HT_ASSERT(ctx.grid, "untiled readjustment needs the grid's row ids; "
+                            "stream them instead");
+        return ctx.grid->tileRows(t);
+    };
+}
+
 /**
  * Extra Dout bytes charged to each tile of one worker type once the
  * assignment is known (§IV-C), for a single row panel.  Under the
@@ -31,21 +42,51 @@ struct PanelScratch
  * first-appearance tile fetches that row on demand (untiled traversal).
  * Writes per-tile extra bytes (read + write) into @p extra, indexed
  * panel-locally (extra[t - first]); 0 for tiles the type does not own.
- * Panels have disjoint tile and row ranges, so any set of panels can
- * be scored in parallel or in isolation with identical results.
  */
 void
 readjustPanel(const PartitionContext& ctx, const std::vector<uint8_t>& is_hot,
-              bool for_hot, Index p, PanelScratch& scratch, double* extra)
+              bool for_hot, Index p, const TileRowsFn& rows_of,
+              PanelScratch& scratch, double* extra)
 {
-    const TileGrid& grid = *ctx.grid;
     const WorkerTraits& w = for_hot ? *ctx.hot : *ctx.cold;
-    auto [first, last] = grid.panelTiles(p);
-    panelReadjustExtras(
-        w, ctx.kernel, is_hot.data(), for_hot, first, last,
-        [&](size_t t) -> const Tile& { return grid.tile(t); },
-        [&](size_t t) { return grid.tileRows(t); }, scratch.rid_stamp,
-        scratch.generation, extra);
+    auto [first, last] = ctx.panelTiles(p);
+    std::fill(extra, extra + (last - first), 0.0);
+    if (w.dout_reuse != ReuseType::InterTile)
+        return;
+
+    const double row_bytes = denseRowBytes(w, ctx.kernel);
+    if (w.traversal == TraversalOrder::TiledRowMajor) {
+        // The first owned tile streams the whole panel's Dout rows in
+        // and the last one writes them back; charge both to the first
+        // tile (it bounds the predicted time identically).
+        for (size_t t = first; t < last; ++t) {
+            if ((is_hot[t] != 0) == for_hot) {
+                extra[t - first] = 2.0 * row_bytes * ctx.tileAt(t).height;
+                break;
+            }
+        }
+        return;
+    }
+    // Untiled: each r_id's first appearance among owned tiles costs one
+    // demand read + one write of the row.
+    std::vector<uint32_t>& stamp = scratch.rid_stamp;
+    const uint32_t generation = ++scratch.generation;
+    for (size_t t = first; t < last; ++t) {
+        if ((is_hot[t] != 0) != for_hot)
+            continue;
+        const Tile& tile = ctx.tileAt(t);
+        if (stamp.size() < tile.height)
+            stamp.resize(tile.height, 0);
+        double new_rids = 0;
+        for (Index rid : rows_of(t)) {
+            Index local = rid - tile.row0;
+            if (stamp[local] != generation) {
+                stamp[local] = generation;
+                new_rids += 1.0;
+            }
+        }
+        extra[t - first] = 2.0 * row_bytes * new_rids;
+    }
 }
 
 struct TileContrib
@@ -54,12 +95,8 @@ struct TileContrib
     double time;
 };
 
-/**
- * One tile's readjusted byte/time contribution under its assigned type.
- * Single source of truth for this arithmetic: the fused totals path and
- * the materialized score path both call it, so their results agree
- * bit-for-bit.
- */
+/** One tile's readjusted byte/time contribution under its assigned
+ *  type. */
 TileContrib
 tileContrib(const PartitionContext& ctx, const Tile& tile,
             const TileEstimate& e, bool hot, double extra)
@@ -78,27 +115,32 @@ tileContrib(const PartitionContext& ctx, const Tile& tile,
     return c;
 }
 
+/** Score panel @p p into @p s; an empty @p rows_of skips the
+ *  readjustment (raw maximum-reuse contributions). */
 void
 scorePanel(const PartitionContext& ctx, const std::vector<uint8_t>& is_hot,
-           Index p, PanelScratch& scratch, AssignmentScore& s)
+           Index p, const TileRowsFn& rows_of, PanelScratch& scratch,
+           AssignmentScore& s)
 {
-    const TileGrid& grid = *ctx.grid;
-    auto [first, last] = grid.panelTiles(p);
+    auto [first, last] = ctx.panelTiles(p);
     const size_t len = last - first;
     if (scratch.extra_hot.size() < len) {
         scratch.extra_hot.resize(len);
         scratch.extra_cold.resize(len);
     }
-    readjustPanel(ctx, is_hot, /*for_hot=*/true, p, scratch,
-                  scratch.extra_hot.data());
-    readjustPanel(ctx, is_hot, /*for_hot=*/false, p, scratch,
-                  scratch.extra_cold.data());
+    if (rows_of) {
+        readjustPanel(ctx, is_hot, /*for_hot=*/true, p, rows_of, scratch,
+                      scratch.extra_hot.data());
+        readjustPanel(ctx, is_hot, /*for_hot=*/false, p, rows_of, scratch,
+                      scratch.extra_cold.data());
+    }
     for (size_t i = first; i < last; ++i) {
         const bool hot = is_hot[i] != 0;
-        TileContrib c = tileContrib(
-            ctx, grid.tile(i), ctx.estimates[i], hot,
-            hot ? scratch.extra_hot[i - first]
-                : scratch.extra_cold[i - first]);
+        const double extra = !rows_of ? 0.0
+                             : hot    ? scratch.extra_hot[i - first]
+                                      : scratch.extra_cold[i - first];
+        TileContrib c =
+            tileContrib(ctx, ctx.tileAt(i), ctx.estimates[i], hot, extra);
         s.bytes[i] = c.bytes;
         s.time[i] = c.time;
     }
@@ -110,19 +152,9 @@ void
 assignmentScore(const PartitionContext& ctx,
                 const std::vector<uint8_t>& is_hot, AssignmentScore& out)
 {
-    const TileGrid& grid = *ctx.grid;
-    const size_t n = grid.numTiles();
-    HT_ASSERT(is_hot.size() == n, "assignment size mismatch");
-    HT_ASSERT(ctx.estimates.size() == n, "estimates missing");
-    out.bytes.resize(n);
-    out.time.resize(n);
-    parallelFor(0, grid.numPanels(), kGrainPanels,
-                [&](size_t pb, size_t pe) {
-                    PanelScratch scratch;
-                    scratch.rid_stamp.assign(grid.tileHeight(), 0);
-                    for (size_t p = pb; p < pe; ++p)
-                        scorePanel(ctx, is_hot, Index(p), scratch, out);
-                });
+    out.bytes.resize(ctx.numTiles());
+    out.time.resize(ctx.numTiles());
+    assignmentScoreWindow(ctx, is_hot, 0, ctx.numPanels(), gridRows(ctx), out);
 }
 
 void
@@ -130,13 +162,29 @@ assignmentScorePanels(const PartitionContext& ctx,
                       const std::vector<uint8_t>& is_hot,
                       const std::vector<Index>& panels, AssignmentScore& io)
 {
-    const TileGrid& grid = *ctx.grid;
-    HT_ASSERT(io.bytes.size() == grid.numTiles(), "score is not sized");
+    HT_ASSERT(io.bytes.size() == ctx.numTiles(), "score is not sized");
+    const TileRowsFn rows = gridRows(ctx);
     parallelFor(0, panels.size(), 1, [&](size_t b, size_t e) {
         PanelScratch scratch;
-        scratch.rid_stamp.assign(grid.tileHeight(), 0);
         for (size_t i = b; i < e; ++i)
-            scorePanel(ctx, is_hot, panels[i], scratch, io);
+            scorePanel(ctx, is_hot, panels[i], rows, scratch, io);
+    });
+}
+
+void
+assignmentScoreWindow(const PartitionContext& ctx,
+                      const std::vector<uint8_t>& is_hot, Index p0, Index p1,
+                      const TileRowsFn& rows_of, AssignmentScore& io)
+{
+    HT_ASSERT(is_hot.size() == ctx.numTiles(), "assignment size mismatch");
+    HT_ASSERT(ctx.estimates.size() == ctx.numTiles(), "estimates missing");
+    HT_ASSERT(io.bytes.size() == ctx.numTiles() &&
+                  io.time.size() == ctx.numTiles(),
+              "score is not sized");
+    parallelFor(p0, p1, kGrainPanels, [&](size_t pb, size_t pe) {
+        PanelScratch scratch;
+        for (size_t p = pb; p < pe; ++p)
+            scorePanel(ctx, is_hot, Index(p), rows_of, scratch, io);
     });
 }
 
@@ -165,59 +213,7 @@ reduceAssignmentScore(const PartitionContext& ctx,
             }
             return totals;
         },
-        [](AssignmentTotals a, AssignmentTotals b) {
-            a.th_total += b.th_total;
-            a.tc_total += b.tc_total;
-            a.bh_total += b.bh_total;
-            a.bc_total += b.bc_total;
-            return a;
-        });
-}
-
-AssignmentTotals
-assignmentTotalsWithExtras(const PartitionContext& ctx,
-                           const std::vector<uint8_t>& is_hot,
-                           const std::vector<double>& extra_hot,
-                           const std::vector<double>& extra_cold)
-{
-    const size_t n = ctx.numTiles();
-    HT_ASSERT(is_hot.size() == n, "assignment size mismatch");
-    HT_ASSERT(ctx.estimates.size() == n, "estimates missing");
-    HT_ASSERT(extra_hot.size() == extra_cold.size(),
-              "extras must be both present or both absent");
-    HT_ASSERT(extra_hot.empty() || extra_hot.size() == n,
-              "extras size mismatch");
-    const bool readjust = !extra_hot.empty();
-
-    // Fused path: the extras are materialized (they need per-panel
-    // traversal state), but each tile's byte/time contribution is
-    // computed inline during the reduction instead of being stored.
-    // Per-tile arithmetic and summation order match the score-array
-    // path (tileContrib + reduceAssignmentScore) exactly, so both
-    // produce bit-identical totals.
-    const double n_hw = ctx.hot->count;
-    const double n_cw = ctx.cold->count;
-    return parallelReduce(
-        0, n, kGrainTiles, AssignmentTotals{},
-        [&](size_t b, size_t e_end) {
-            AssignmentTotals totals;
-            for (size_t i = b; i < e_end; ++i) {
-                const bool hot = is_hot[i] != 0;
-                const double extra =
-                    readjust ? (hot ? extra_hot[i] : extra_cold[i]) : 0.0;
-                TileContrib c = tileContrib(ctx, ctx.tileAt(i),
-                                            ctx.estimates[i], hot, extra);
-                if (hot) {
-                    totals.bh_total += c.bytes;
-                    totals.th_total += c.time / n_hw;
-                } else {
-                    totals.bc_total += c.bytes;
-                    totals.tc_total += c.time / n_cw;
-                }
-            }
-            return totals;
-        },
-        [](AssignmentTotals a, AssignmentTotals b) {
+        [](AssignmentTotals a, const AssignmentTotals& b) {
             a.th_total += b.th_total;
             a.tc_total += b.tc_total;
             a.bh_total += b.bh_total;
@@ -230,32 +226,14 @@ AssignmentTotals
 assignmentTotals(const PartitionContext& ctx,
                  const std::vector<uint8_t>& is_hot, bool readjust)
 {
-    const TileGrid& grid = *ctx.grid;
-    HT_ASSERT(is_hot.size() == grid.numTiles(), "assignment size mismatch");
-    HT_ASSERT(ctx.estimates.size() == grid.numTiles(), "estimates missing");
-
-    std::vector<double> extra_hot;
-    std::vector<double> extra_cold;
-    if (readjust) {
-        extra_hot.resize(grid.numTiles());
-        extra_cold.resize(grid.numTiles());
-        parallelFor(0, grid.numPanels(), kGrainPanels,
-                    [&](size_t pb, size_t pe) {
-                        PanelScratch scratch;
-                        scratch.rid_stamp.assign(grid.tileHeight(), 0);
-                        for (size_t p = pb; p < pe; ++p) {
-                            const size_t first =
-                                grid.panelTiles(Index(p)).first;
-                            readjustPanel(ctx, is_hot, /*for_hot=*/true,
-                                          Index(p), scratch,
-                                          extra_hot.data() + first);
-                            readjustPanel(ctx, is_hot, /*for_hot=*/false,
-                                          Index(p), scratch,
-                                          extra_cold.data() + first);
-                        }
-                    });
-    }
-    return assignmentTotalsWithExtras(ctx, is_hot, extra_hot, extra_cold);
+    // Every total goes through the per-tile score, so the fresh,
+    // incremental and streamed paths share one arithmetic.
+    AssignmentScore s;
+    s.bytes.resize(ctx.numTiles());
+    s.time.resize(ctx.numTiles());
+    assignmentScoreWindow(ctx, is_hot, 0, ctx.numPanels(),
+                          readjust ? gridRows(ctx) : TileRowsFn{}, s);
+    return reduceAssignmentScore(ctx, is_hot, s);
 }
 
 double
@@ -280,12 +258,18 @@ predictedSerialCycles(const PartitionContext& ctx, const AssignmentTotals& t)
 }
 
 double
+predictedCycles(const PartitionContext& ctx, const AssignmentTotals& t,
+                bool serial)
+{
+    return serial ? predictedSerialCycles(ctx, t)
+                  : predictedParallelCycles(ctx, t);
+}
+
+double
 predictedRuntimeCycles(const PartitionContext& ctx,
                        const std::vector<uint8_t>& is_hot, bool serial)
 {
-    AssignmentTotals totals = assignmentTotals(ctx, is_hot);
-    return serial ? predictedSerialCycles(ctx, totals)
-                  : predictedParallelCycles(ctx, totals);
+    return predictedCycles(ctx, assignmentTotals(ctx, is_hot), serial);
 }
 
 double

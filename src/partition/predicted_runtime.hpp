@@ -9,11 +9,11 @@
  * first tile containing each r_id (untiled traversal).
  */
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
-#include "model/memory_model.hpp"
 #include "partition/partition.hpp"
 
 namespace hottiles {
@@ -31,81 +31,13 @@ struct AssignmentTotals
 
 /**
  * Compute readjusted totals for @p is_hot.  Set @p readjust to false to
- * get the raw maximum-reuse totals (what the cutoff search uses).
+ * get the raw maximum-reuse totals (what the cutoff search uses).  A
+ * grid-free context (makePartitionContextFromDirectory) works unless a
+ * worker type needs the untiled readjustment's per-tile row ids.
  */
 AssignmentTotals assignmentTotals(const PartitionContext& ctx,
                                   const std::vector<uint8_t>& is_hot,
                                   bool readjust = true);
-
-/**
- * The §IV-C readjustment core for one row panel and one worker type,
- * parameterized over tile and row-id access so the in-memory grid and
- * the out-of-core streamed pipeline (docs/OUTOFCORE.md) share the
- * arithmetic bit-for-bit.  Fills extra Dout bytes (read + write) into
- * @p extra, indexed panel-locally (extra[t - first]); 0 for tiles the
- * type does not own.  @p tile_at(t) must return the Tile for global
- * tile index t; @p rows_of(t) its row ids in tiled order (only invoked
- * for untiled-traversal workers).  @p rid_stamp must have at least
- * tile_height entries; @p generation must never repeat a value already
- * present in @p rid_stamp.
- */
-template <typename TileAtFn, typename RowsOfFn>
-void
-panelReadjustExtras(const WorkerTraits& w, const KernelConfig& kernel,
-                    const uint8_t* is_hot, bool for_hot, size_t first,
-                    size_t last, TileAtFn&& tile_at, RowsOfFn&& rows_of,
-                    std::vector<uint32_t>& rid_stamp, uint32_t& generation,
-                    double* extra)
-{
-    std::fill(extra, extra + (last - first), 0.0);
-    if (w.dout_reuse != ReuseType::InterTile)
-        return;
-
-    const double row_bytes = denseRowBytes(w, kernel);
-    if (w.traversal == TraversalOrder::TiledRowMajor) {
-        // The first owned tile streams the whole panel's Dout rows in
-        // and the last one writes them back; charge both to the first
-        // tile (it bounds the predicted time identically).
-        for (size_t t = first; t < last; ++t) {
-            if ((is_hot[t] != 0) == for_hot) {
-                extra[t - first] = 2.0 * row_bytes * tile_at(t).height;
-                break;
-            }
-        }
-    } else {
-        // Untiled: each r_id's first appearance among owned tiles costs
-        // one demand read + one write of the row.
-        ++generation;
-        for (size_t t = first; t < last; ++t) {
-            if ((is_hot[t] != 0) != for_hot)
-                continue;
-            double new_rids = 0;
-            const Index row0 = tile_at(t).row0;
-            for (Index rid : rows_of(t)) {
-                Index local = rid - row0;
-                if (rid_stamp[local] != generation) {
-                    rid_stamp[local] = generation;
-                    new_rids += 1.0;
-                }
-            }
-            extra[t - first] = 2.0 * row_bytes * new_rids;
-        }
-    }
-}
-
-/**
- * Reduce an assignment plus already-materialized per-tile readjustment
- * extras to totals.  Pass empty extras vectors for the raw
- * maximum-reuse totals.  Works on grid-free contexts
- * (makePartitionContextFromDirectory); with extras produced by
- * panelReadjustExtras the result is bit-identical to
- * assignmentTotals(ctx, is_hot, true) on the equivalent grid context.
- */
-AssignmentTotals
-assignmentTotalsWithExtras(const PartitionContext& ctx,
-                           const std::vector<uint8_t>& is_hot,
-                           const std::vector<double>& extra_hot,
-                           const std::vector<double>& extra_cold);
 
 /**
  * Per-tile score of an assignment: each tile's final (§IV-C
@@ -138,6 +70,21 @@ void assignmentScorePanels(const PartitionContext& ctx,
                            const std::vector<Index>& panels,
                            AssignmentScore& io);
 
+/** Row ids of global tile t in tiled order. */
+using TileRowsFn = std::function<std::span<const Index>(size_t t)>;
+
+/**
+ * Recompute panels [p0, p1) of @p io in place, taking the row ids the
+ * untiled readjustment walks from @p rows_of instead of the grid: the
+ * out-of-core planner streams them back in window by window
+ * (docs/OUTOFCORE.md).  An empty @p rows_of scores without the
+ * readjustment.  @p io must already be sized to the tiles.
+ */
+void assignmentScoreWindow(const PartitionContext& ctx,
+                           const std::vector<uint8_t>& is_hot, Index p0,
+                           Index p1, const TileRowsFn& rows_of,
+                           AssignmentScore& io);
+
 /**
  * Reduce a score to readjusted totals.  Deterministic: per-chunk
  * partials combine in chunk order, independent of the thread count, and
@@ -155,6 +102,10 @@ double predictedParallelCycles(const PartitionContext& ctx,
 /** Serial-operation predicted runtime: Eq 7 / Fig 8 rows 2 and 4. */
 double predictedSerialCycles(const PartitionContext& ctx,
                              const AssignmentTotals& t);
+
+/** predictedSerialCycles or predictedParallelCycles by @p serial. */
+double predictedCycles(const PartitionContext& ctx, const AssignmentTotals& t,
+                       bool serial);
 
 /** Final predicted runtime for an assignment and operation mode. */
 double predictedRuntimeCycles(const PartitionContext& ctx,

@@ -104,7 +104,7 @@ void writeHtbFromCoo(const std::string& path, const CooMatrix& a,
  * header, the byte-exact file size and the panel index (monotone,
  * spanning [0, nnz]) and throws FatalError on any violation; entry
  * *content* (ordering/bounds) is validated by `validateData()` or
- * inline by the streaming consumers.  The mapping is read-only and
+ * inline by the scan (scanPanelWindow).  The mapping is read-only and
  * advised MADV_SEQUENTIAL; `releaseEntries` drops consumed pages so
  * the resident high-water mark stays bounded while streaming.
  */

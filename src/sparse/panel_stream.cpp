@@ -37,10 +37,4 @@ CooPanelSource::colIds(size_t first, size_t last) const
     return {a_.colIds().data() + first, last - first};
 }
 
-std::span<const Value>
-CooPanelSource::vals(size_t first, size_t last) const
-{
-    return {a_.values().data() + first, last - first};
-}
-
 } // namespace hottiles

@@ -40,7 +40,6 @@ class PanelSource
 
     virtual std::span<const Index> rowIds(size_t first, size_t last) const = 0;
     virtual std::span<const Index> colIds(size_t first, size_t last) const = 0;
-    virtual std::span<const Value> vals(size_t first, size_t last) const = 0;
 
     /** Hint: entries [first, last) are consumed and may be evicted. */
     virtual void release(size_t first, size_t last) const { (void)first; (void)last; }
@@ -58,7 +57,6 @@ class CooPanelSource final : public PanelSource
     size_t beginEntry(Index panel_rows, Index p) const override;
     std::span<const Index> rowIds(size_t first, size_t last) const override;
     std::span<const Index> colIds(size_t first, size_t last) const override;
-    std::span<const Value> vals(size_t first, size_t last) const override;
 
   private:
     const CooMatrix& a_;
@@ -84,10 +82,6 @@ class MappedPanelSource final : public PanelSource
     std::span<const Index> colIds(size_t first, size_t last) const override
     {
         return m_.colIds().subspan(first, last - first);
-    }
-    std::span<const Value> vals(size_t first, size_t last) const override
-    {
-        return m_.vals().subspan(first, last - first);
     }
     void release(size_t first, size_t last) const override
     {

@@ -12,14 +12,190 @@
 
 namespace hottiles {
 
+namespace {
+
+/** Per-panel compact histogram: the occupied tile columns in ascending
+ *  order and their nonzero counts. */
+struct PanelHist
+{
+    std::vector<Index> tcols;
+    std::vector<size_t> counts;
+};
+
+/** Directory entry of tile column @p tc in panel @p p (stats unset). */
+Tile
+makeTile(const TileShape& s, Index p, Index tc, size_t offset, size_t nnz)
+{
+    Tile t{};
+    t.panel = p;
+    t.tcol = tc;
+    t.row0 = p * s.tile_h;
+    t.col0 = tc * s.tile_w;
+    t.height = std::min<Index>(s.tile_h, s.rows - t.row0);
+    t.width = std::min<Index>(s.tile_w, s.cols - t.col0);
+    t.offset = offset;
+    t.nnz = nnz;
+    return t;
+}
+
+/**
+ * Unique row/column counts of tile @p t from its tiled-order ids.  Rows
+ * are sorted within a tile, so unique rows are row transitions; columns
+ * use a stamped scratch array of tile_width entries.
+ */
+void
+countUniques(Tile& t, const Index* rows, const Index* cols,
+             std::vector<uint32_t>& col_stamp, uint32_t& generation)
+{
+    ++generation;
+    Index uniq_r = 0;
+    Index uniq_c = 0;
+    Index prev_row = ~Index(0);
+    for (size_t i = 0; i < t.nnz; ++i) {
+        if (rows[i] != prev_row) {
+            ++uniq_r;
+            prev_row = rows[i];
+        }
+        Index local_c = cols[i] - t.col0;
+        if (col_stamp[local_c] != generation) {
+            col_stamp[local_c] = generation;
+            ++uniq_c;
+        }
+    }
+    t.uniq_rids = uniq_r;
+    t.uniq_cids = uniq_c;
+}
+
+} // namespace
+
+void
+scanPanelWindow(const TileShape& s, const PanelWindow& w,
+                std::vector<Tile>& tiles, std::vector<size_t>& panel_begin,
+                std::vector<Index>& tiled_rows,
+                std::vector<Index>& tiled_cols,
+                std::vector<Value>* tiled_vals)
+{
+    const size_t wp = w.start.size() - 1;
+    const size_t base = w.start.front();
+    const size_t n = w.start.back() - base;
+    HT_ASSERT(w.rows.size() == n && w.cols.size() == n,
+              "window spans must cover its entries");
+    HT_ASSERT(!tiled_vals || w.vals.size() == n, "window values missing");
+
+    // Pass 1: validate and build per-panel compact histograms.  The
+    // flat per-chunk scratch counter is reset by visiting only the
+    // occupied entries.
+    std::vector<PanelHist> hist(wp);
+    parallelFor(0, wp, kGrainPanels, [&](size_t pb, size_t pe) {
+        std::vector<size_t> cnt(s.numTileCols(), 0);
+        for (size_t j = pb; j < pe; ++j) {
+            const Index p = w.p0 + Index(j);
+            const Index prow0 = s.panelRow0(p);
+            const Index prow1 = s.panelRow0(p + 1);
+            PanelHist& h = hist[j];
+            const size_t first = w.start[j] - base;
+            for (size_t i = first; i < w.start[j + 1] - base; ++i) {
+                const Index r = w.rows[i];
+                const Index c = w.cols[i];
+                HT_FATAL_IF(r < prow0 || r >= prow1 || c >= s.cols, "entry ",
+                            base + i, " (", r, ",", c, ") outside panel ", p,
+                            " of the ", s.rows, "x", s.cols, " matrix");
+                HT_FATAL_IF(i > first && (r < w.rows[i - 1] ||
+                                          (r == w.rows[i - 1] &&
+                                           c < w.cols[i - 1])),
+                            "entries not row-major sorted at ", base + i);
+                Index tc = c / s.tile_w;
+                if (cnt[tc]++ == 0)
+                    h.tcols.push_back(tc);
+            }
+            std::sort(h.tcols.begin(), h.tcols.end());
+            h.counts.resize(h.tcols.size());
+            for (size_t k = 0; k < h.tcols.size(); ++k) {
+                h.counts[k] = cnt[h.tcols[k]];
+                cnt[h.tcols[k]] = 0;
+            }
+        }
+    });
+
+    // Directory append in (panel, tcol) order.  The window's first
+    // tile starts at global offset `base`: offsets accumulate every
+    // earlier panel's entries.
+    // A window of every panel (TileGrid) sizes the directory exactly;
+    // streamed windows let it grow geometrically.
+    const size_t tiles_before = tiles.size();
+    if (w.p0 == 0 && wp + 1 == panel_begin.size()) {
+        size_t ntiles = tiles_before;
+        for (const PanelHist& h : hist)
+            ntiles += h.tcols.size();
+        tiles.reserve(ntiles);
+    }
+    size_t offset = base;
+    for (size_t j = 0; j < wp; ++j) {
+        const Index p = w.p0 + Index(j);
+        panel_begin[p] = tiles.size();
+        const PanelHist& h = hist[j];
+        for (size_t k = 0; k < h.tcols.size(); ++k) {
+            tiles.push_back(makeTile(s, p, h.tcols[k], offset, h.counts[k]));
+            offset += h.counts[k];
+        }
+    }
+    panel_begin[w.p0 + wp] = tiles.size();
+
+    // Pass 2: stable counting-sort scatter into tiled order.
+    tiled_rows.resize(n);
+    tiled_cols.resize(n);
+    if (tiled_vals)
+        tiled_vals->resize(n);
+    scatterPanelWindow(s, w, tiles, panel_begin, tiled_rows.data(),
+                       tiled_cols.data(),
+                       tiled_vals ? tiled_vals->data() : nullptr);
+
+    // Pass 3: per-tile unique row/column counts (one stamp array per
+    // chunk — tiles are disjoint, so the pass parallelizes over tiles).
+    parallelFor(tiles_before, tiles.size(), kGrainTiles,
+                [&](size_t tb, size_t te) {
+                    std::vector<uint32_t> col_stamp(s.tile_w, 0);
+                    uint32_t generation = 0;
+                    for (size_t ti = tb; ti < te; ++ti) {
+                        Tile& t = tiles[ti];
+                        const size_t at = t.offset - base;
+                        countUniques(t, tiled_rows.data() + at,
+                                     tiled_cols.data() + at, col_stamp,
+                                     generation);
+                    }
+                });
+}
+
+void
+scatterPanelWindow(const TileShape& s, const PanelWindow& w,
+                   const std::vector<Tile>& tiles,
+                   const std::vector<size_t>& panel_begin, Index* out_rows,
+                   Index* out_cols, Value* out_vals)
+{
+    const size_t base = w.start.front();
+    parallelFor(0, w.start.size() - 1, kGrainPanels, [&](size_t pb, size_t pe) {
+        std::vector<size_t> cursor(s.numTileCols());
+        for (size_t j = pb; j < pe; ++j) {
+            const Index p = w.p0 + Index(j);
+            for (size_t t = panel_begin[p]; t < panel_begin[p + 1]; ++t)
+                cursor[tiles[t].tcol] = tiles[t].offset - base;
+            for (size_t i = w.start[j] - base; i < w.start[j + 1] - base;
+                 ++i) {
+                const size_t pos = cursor[w.cols[i] / s.tile_w]++;
+                out_rows[pos] = w.rows[i];
+                if (out_cols)
+                    out_cols[pos] = w.cols[i];
+                if (out_vals)
+                    out_vals[pos] = w.vals[i];
+            }
+        }
+    });
+}
+
 TileGrid::TileGrid(const CooMatrix& a, Index tile_height, Index tile_width)
     : rows_(a.rows()), cols_(a.cols()), tile_h_(tile_height),
       tile_w_(tile_width)
 {
-    HT_ASSERT(tile_height > 0 && tile_width > 0, "tile dims must be > 0");
-    num_panels_ = static_cast<Index>(ceilDiv(rows_, tile_h_));
-    num_tcols_ = static_cast<Index>(ceilDiv(cols_, tile_w_));
-
     // Row-major-sorted input keeps (row, col) order inside each tile after
     // a stable counting sort by tile key.
     const CooMatrix* src = &a;
@@ -38,23 +214,9 @@ TileGrid::TileGrid(Index rows, Index cols, std::span<const Index> row_ids,
                    Index tile_width)
     : rows_(rows), cols_(cols), tile_h_(tile_height), tile_w_(tile_width)
 {
-    HT_ASSERT(tile_height > 0 && tile_width > 0, "tile dims must be > 0");
     HT_ASSERT(row_ids.size() == col_ids.size() &&
                   row_ids.size() == vals.size(),
               "parallel arrays must have equal length");
-    num_panels_ = static_cast<Index>(ceilDiv(rows_, tile_h_));
-    num_tcols_ = static_cast<Index>(ceilDiv(cols_, tile_w_));
-    // Validate instead of sorting: the spans typically alias a read-only
-    // mapped file, and a malformed file must be a clean FatalError.
-    for (size_t i = 0; i < row_ids.size(); ++i) {
-        HT_FATAL_IF(row_ids[i] >= rows_ || col_ids[i] >= cols_,
-                    "mapped entry ", i, " (", row_ids[i], ",", col_ids[i],
-                    ") outside the ", rows_, "x", cols_, " matrix");
-        HT_FATAL_IF(i > 0 && (row_ids[i] < row_ids[i - 1] ||
-                              (row_ids[i] == row_ids[i - 1] &&
-                               col_ids[i] < col_ids[i - 1])),
-                    "mapped entries not row-major sorted at ", i);
-    }
     build(row_ids, col_ids, vals);
 }
 
@@ -62,131 +224,28 @@ void
 TileGrid::build(std::span<const Index> row_ids,
                 std::span<const Index> col_ids, std::span<const Value> vals)
 {
+    HT_ASSERT(tile_h_ > 0 && tile_w_ > 0, "tile dims must be > 0");
     const size_t n = row_ids.size();
+    const TileShape shape{rows_, cols_, tile_h_, tile_w_};
+    num_panels_ = shape.numPanels();
+    num_tcols_ = shape.numTileCols();
 
     // Row-major-sorted input makes each row panel a contiguous nonzero
-    // range, and panels also own disjoint (contiguous) ranges of the
-    // tiled output.  The build therefore parallelizes over panels with
-    // no shared state, and the result is the exact serial counting sort
-    // no matter how panels are chunked.  Panel boundaries come from one
-    // binary search per panel over the sorted row ids.
+    // range; panel boundaries come from one binary search per panel.
+    // lower_bound is monotone in its key even over unsorted ids, so on
+    // malformed input the ranges still partition the entries and the
+    // scan's validation rejects them.
     std::vector<size_t> panel_start(size_t(num_panels_) + 1, n);
-    for (Index p = 0; p < num_panels_; ++p) {
-        Index first_row = static_cast<Index>(
-            std::min<uint64_t>(uint64_t(p) * tile_h_, rows_));
-        panel_start[p] =
-            std::lower_bound(row_ids.begin(), row_ids.end(), first_row) -
-            row_ids.begin();
-    }
-
-    // Pass 1: per-panel compact histograms — the occupied tile columns
-    // in ascending order and their nonzero counts.  The flat per-chunk
-    // scratch counter is reset by visiting only the occupied entries.
-    struct PanelHist
-    {
-        std::vector<Index> tcols;
-        std::vector<size_t> counts;
-    };
-    std::vector<PanelHist> hist(num_panels_);
-    parallelFor(0, num_panels_, kGrainPanels, [&](size_t pb, size_t pe) {
-        std::vector<size_t> cnt(num_tcols_, 0);
-        for (size_t p = pb; p < pe; ++p) {
-            PanelHist& h = hist[p];
-            for (size_t i = panel_start[p]; i < panel_start[p + 1]; ++i) {
-                Index tc = col_ids[i] / tile_w_;
-                if (cnt[tc]++ == 0)
-                    h.tcols.push_back(tc);
-            }
-            std::sort(h.tcols.begin(), h.tcols.end());
-            h.counts.resize(h.tcols.size());
-            for (size_t j = 0; j < h.tcols.size(); ++j) {
-                h.counts[j] = cnt[h.tcols[j]];
-                cnt[h.tcols[j]] = 0;
-            }
-        }
-    });
-
-    // Tile directory in (panel, tcol) order, plus each panel's first
-    // tile (which doubles as the panel index built at the end).
-    std::vector<size_t> panel_tile0(size_t(num_panels_) + 1);
-    size_t ntiles = 0;
-    for (const PanelHist& h : hist)
-        ntiles += h.tcols.size();
-    tiles_.reserve(ntiles);
-    size_t offset = 0;
-    for (Index p = 0; p < num_panels_; ++p) {
-        panel_tile0[p] = tiles_.size();
-        const PanelHist& h = hist[p];
-        for (size_t j = 0; j < h.tcols.size(); ++j) {
-            Tile t{};
-            t.panel = p;
-            t.tcol = h.tcols[j];
-            t.row0 = p * tile_h_;
-            t.col0 = t.tcol * tile_w_;
-            t.height = std::min<Index>(tile_h_, rows_ - t.row0);
-            t.width = std::min<Index>(tile_w_, cols_ - t.col0);
-            t.offset = offset;
-            t.nnz = h.counts[j];
-            offset += t.nnz;
-            tiles_.push_back(t);
-        }
-    }
-    panel_tile0[num_panels_] = tiles_.size();
-
-    // Pass 2: stable counting-sort scatter, again parallel over panels.
-    // Each panel seeds its occupied cursor entries from the tile
-    // offsets and walks its own nonzeros; destinations are unique, so
-    // the scatter is race-free and bit-identical to the serial walk.
-    tiled_rows_.resize(n);
-    tiled_cols_.resize(n);
-    tiled_vals_.resize(n);
-    parallelFor(0, num_panels_, kGrainPanels, [&](size_t pb, size_t pe) {
-        std::vector<size_t> cursor(num_tcols_);
-        for (size_t p = pb; p < pe; ++p) {
-            const PanelHist& h = hist[p];
-            for (size_t j = 0; j < h.tcols.size(); ++j)
-                cursor[h.tcols[j]] = tiles_[panel_tile0[p] + j].offset;
-            for (size_t i = panel_start[p]; i < panel_start[p + 1]; ++i) {
-                size_t pos = cursor[col_ids[i] / tile_w_]++;
-                tiled_rows_[pos] = row_ids[i];
-                tiled_cols_[pos] = col_ids[i];
-                tiled_vals_[pos] = vals[i];
-            }
-        }
-    });
-
-    // Pass 3: per-tile unique row/column counts.  Rows are sorted within
-    // a tile, so unique rows are row transitions; columns use a stamped
-    // scratch array of tile_width entries (one per chunk — tiles are
-    // disjoint, so the pass parallelizes over tiles).
-    parallelFor(0, tiles_.size(), kGrainTiles, [&](size_t tb, size_t te) {
-        std::vector<uint32_t> col_stamp(tile_w_, 0);
-        uint32_t generation = 0;
-        for (size_t ti = tb; ti < te; ++ti) {
-            Tile& t = tiles_[ti];
-            ++generation;
-            Index uniq_r = 0;
-            Index uniq_c = 0;
-            Index prev_row = ~Index(0);
-            for (size_t i = t.offset; i < t.offset + t.nnz; ++i) {
-                if (tiled_rows_[i] != prev_row) {
-                    ++uniq_r;
-                    prev_row = tiled_rows_[i];
-                }
-                Index local_c = tiled_cols_[i] - t.col0;
-                if (col_stamp[local_c] != generation) {
-                    col_stamp[local_c] = generation;
-                    ++uniq_c;
-                }
-            }
-            t.uniq_rids = uniq_r;
-            t.uniq_cids = uniq_c;
-        }
-    });
+    for (Index p = 0; p < num_panels_; ++p)
+        panel_start[p] = std::lower_bound(row_ids.begin(), row_ids.end(),
+                                          shape.panelRow0(p)) -
+                         row_ids.begin();
 
     // Panel index: first tile of each panel (empty panels collapse to
     // the next panel's start, keeping ranges well formed).
-    panel_begin_ = std::move(panel_tile0);
+    panel_begin_.assign(size_t(num_panels_) + 1, 0);
+    scanPanelWindow(shape, {0, panel_start, row_ids, col_ids, vals}, tiles_,
+                    panel_begin_, tiled_rows_, tiled_cols_, &tiled_vals_);
 }
 
 size_t
@@ -355,6 +414,7 @@ TileGrid::applyDelta(const DeltaBatch& d)
     for (size_t i = 0; i < out.dirty_panels.size(); ++i)
         rb_of_panel[out.dirty_panels[i]] = int64_t(i);
 
+    const TileShape shape{rows_, cols_, tile_h_, tile_w_};
     parallelFor(0, out.dirty_panels.size(), 1, [&](size_t rb0, size_t rb1) {
         std::vector<uint32_t> col_stamp(tile_w_, 0);
         uint32_t generation = 0;
@@ -446,32 +506,11 @@ TileGrid::applyDelta(const DeltaBatch& d)
                 const size_t tile_nnz = rb.rows.size() - tile_off;
                 if (tile_nnz == 0)
                     continue;  // tile went empty: eliminated, like fresh
-                Tile t{};
-                t.panel = p;
-                t.tcol = tc;
-                t.row0 = p * tile_h_;
-                t.col0 = tc * tile_w_;
-                t.height = std::min<Index>(tile_h_, rows_ - t.row0);
-                t.width = std::min<Index>(tile_w_, cols_ - t.col0);
-                t.offset = tile_off;
-                t.nnz = tile_nnz;
-                // Unique row/col stats exactly as constructor Pass 3.
-                ++generation;
-                Index uniq_r = 0, uniq_c = 0;
-                Index prev_row = ~Index(0);
-                for (size_t i = tile_off; i < tile_off + tile_nnz; ++i) {
-                    if (rb.rows[i] != prev_row) {
-                        ++uniq_r;
-                        prev_row = rb.rows[i];
-                    }
-                    Index local_c = rb.cols[i] - t.col0;
-                    if (col_stamp[local_c] != generation) {
-                        col_stamp[local_c] = generation;
-                        ++uniq_c;
-                    }
-                }
-                t.uniq_rids = uniq_r;
-                t.uniq_cids = uniq_c;
+                // Stats exactly as the fresh scan's pass 3.
+                Tile t = makeTile(shape, p, tc, tile_off, tile_nnz);
+                countUniques(t, rb.rows.data() + tile_off,
+                             rb.cols.data() + tile_off, col_stamp,
+                             generation);
                 rb.tiles.push_back(t);
             }
         }

@@ -9,10 +9,12 @@
  * the paper's preprocessing "matrix scan" step (Fig 7).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/units.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/types.hpp"
 
@@ -58,6 +60,72 @@ struct Tile
     Index uniq_cids;  //!< distinct column ids among the tile's nonzeros
 };
 
+/** Extent of a tile grid: the matrix dims and the tile dims. */
+struct TileShape
+{
+    Index rows = 0;
+    Index cols = 0;
+    Index tile_h = 0;
+    Index tile_w = 0;
+
+    Index numPanels() const { return Index(ceilDiv(rows, tile_h)); }
+    Index numTileCols() const { return Index(ceilDiv(cols, tile_w)); }
+    /** First row of panel @p p, clamped to rows (p may be numPanels()). */
+    Index panelRow0(Index p) const
+    {
+        return Index(std::min<uint64_t>(uint64_t(p) * tile_h, rows));
+    }
+};
+
+/**
+ * A window of consecutive row panels of a row-major entry stream: panel
+ * p0 + j owns the global entries [start[j], start[j + 1]), and the
+ * spans hold entries [start.front(), start.back()).
+ */
+struct PanelWindow
+{
+    Index p0 = 0;
+    std::span<const size_t> start;
+    std::span<const Index> rows;
+    std::span<const Index> cols;
+    std::span<const Value> vals;  //!< empty: ids only
+};
+
+/**
+ * The matrix scan of one panel window, shared by TileGrid (all panels
+ * as one window) and the out-of-core planner (docs/OUTOFCORE.md):
+ *  - pass 1 validates each entry (row inside its panel, column in
+ *    range, row-major order within the panel) and histograms the
+ *    panel's occupied tile columns;
+ *  - the window's tiles are appended to @p tiles with global offsets,
+ *    and panel_begin[p0 .. p0 + panels] is set;
+ *  - pass 2 (scatterPanelWindow) puts the entries in tiled order at
+ *    window-local positions of the outputs, resized to the window;
+ *  - pass 3 fills each new tile's unique row and column counts.
+ * Results do not depend on the thread count.  Panel membership plus
+ * in-panel order imply global row-major order across windows.
+ * @throws FatalError on a malformed entry (files are untrusted).
+ */
+void scanPanelWindow(const TileShape& shape, const PanelWindow& w,
+                     std::vector<Tile>& tiles,
+                     std::vector<size_t>& panel_begin,
+                     std::vector<Index>& tiled_rows,
+                     std::vector<Index>& tiled_cols,
+                     std::vector<Value>* tiled_vals);
+
+/**
+ * Stable counting-sort scatter of a window whose tiles are in the
+ * directory, parallel over panels: each panel seeds a cursor per
+ * occupied tile column from its tiles' offsets and walks its own
+ * entries.  Destinations are unique, so the scatter is race-free and
+ * bit-identical to the serial walk.  Null outputs are skipped.
+ */
+void scatterPanelWindow(const TileShape& shape, const PanelWindow& w,
+                        const std::vector<Tile>& tiles,
+                        const std::vector<size_t>& panel_begin,
+                        Index* tiled_rows, Index* tiled_cols,
+                        Value* tiled_vals);
+
 /**
  * A sparse matrix partitioned into tiles.
  *
@@ -80,10 +148,10 @@ class TileGrid
      * Tile raw parallel arrays without owning or copying the input —
      * the zero-copy entry point for memory-mapped `.htb` matrices
      * (docs/OUTOFCORE.md).  The arrays must be row-major sorted with
-     * in-range indices; violations throw FatalError (the spans usually
-     * alias an on-disk file, so this is input validation, not an
-     * internal invariant).  Produces bit-identical state to the
-     * CooMatrix constructor on equal input.
+     * in-range indices; the scan's pass 1 throws FatalError on a
+     * violation (the spans usually alias an on-disk file, so this is
+     * input validation, not an internal invariant).  Produces
+     * bit-identical state to the CooMatrix constructor on equal input.
      */
     TileGrid(Index rows, Index cols, std::span<const Index> row_ids,
              std::span<const Index> col_ids, std::span<const Value> vals,
@@ -164,8 +232,7 @@ class TileGrid
     TileGridDelta applyDelta(const DeltaBatch& d);
 
   private:
-    /** Shared build core (the three counting-sort passes); @p row_ids
-     *  must already be row-major sorted. */
+    /** Shared build core: scanPanelWindow over every panel at once. */
     void build(std::span<const Index> row_ids, std::span<const Index> col_ids,
                std::span<const Value> vals);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "common/random.hpp"
@@ -129,6 +131,61 @@ TEST(Heuristics, AtomicRmwRunsOnlyParallel)
         EXPECT_FALSE(p.serial);
         EXPECT_NE(p.heuristic.find("Parallel"), std::string::npos);
     }
+}
+
+TEST(Heuristics, ParallelAndSerialShareOneSortPerKey)
+{
+    EXPECT_EQ(sortKeyOf(Heuristic::MinTimeParallel), SortKey::MinTime);
+    EXPECT_EQ(sortKeyOf(Heuristic::MinTimeSerial), SortKey::MinTime);
+    EXPECT_EQ(sortKeyOf(Heuristic::MinByteParallel), SortKey::MinByte);
+    EXPECT_EQ(sortKeyOf(Heuristic::MinByteSerial), SortKey::MinByte);
+
+    SmallCtx s(16, /*rows=*/256, /*nnz=*/4000);
+    PartitionSweepCache cache;
+    const Partition best = hotTilesPartition(s.ctx, &cache);
+    ASSERT_EQ(cache.keys.size(), 2u);
+    ASSERT_EQ(cache.states.size(), 4u);
+
+    // One order per key: the (hot - cold difference, tile id) total
+    // order of the estimates.
+    for (size_t k = 0; k < cache.keys.size(); ++k) {
+        const KeyOrder& ko = cache.keys[k];
+        EXPECT_EQ(size_t(ko.key), k);
+        auto key = [&](size_t i) {
+            const TileEstimate& e = s.ctx.estimates[i];
+            return ko.key == SortKey::MinTime ? e.th - e.tc : e.bh - e.bc;
+        };
+        std::vector<size_t> expect(s.grid.numTiles());
+        std::iota(expect.begin(), expect.end(), size_t(0));
+        std::sort(expect.begin(), expect.end(), [&](size_t a, size_t b) {
+            return key(a) != key(b) ? key(a) < key(b) : a < b;
+        });
+        EXPECT_EQ(ko.order, expect);
+    }
+
+    // Every heuristic's sweep over its key's shared order is exactly
+    // the standalone runHeuristic (own sort) result, bit for bit, both
+    // from the seeded cache and from the uncached selector.
+    const std::vector<Partition> all = allHeuristicPartitions(s.ctx);
+    ASSERT_EQ(all.size(), cache.states.size());
+    bool winner_seen = false;
+    for (size_t i = 0; i < cache.states.size(); ++i) {
+        const Heuristic h = cache.states[i].h;
+        SCOPED_TRACE(heuristicName(h));
+        const Partition ref = runHeuristic(s.ctx, h);
+        EXPECT_EQ(cache.states[i].is_hot, ref.is_hot);
+        EXPECT_EQ(all[i].is_hot, ref.is_hot);
+        EXPECT_EQ(all[i].heuristic, ref.heuristic);
+        EXPECT_EQ(std::memcmp(&all[i].predicted_cycles,
+                              &ref.predicted_cycles, sizeof(double)),
+                  0);
+        winner_seen |= best.heuristic == ref.heuristic &&
+                       best.is_hot == ref.is_hot &&
+                       std::memcmp(&best.predicted_cycles,
+                                   &ref.predicted_cycles,
+                                   sizeof(double)) == 0;
+    }
+    EXPECT_TRUE(winner_seen);
 }
 
 TEST(Heuristics, SelectorPicksLowestPrediction)

@@ -21,6 +21,7 @@
 #include "common/error.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/htb.hpp"
+#include "sparse/tiling.hpp"
 
 using namespace hottiles;
 
@@ -212,6 +213,41 @@ TEST(OutOfCoreHtb, ValidateDataCatchesContentCorruption)
     set_col(oob, 0, 100);
     spit(bad, oob);
     EXPECT_THROW(MappedMatrix(bad).validateData(), FatalError);
+}
+
+TEST(OutOfCoreHtb, MappedTileGridRejectsContentCorruption)
+{
+    // TileGrid over the mapped arrays validates in the scan's pass 1
+    // (no validateData() call), with the streamed planner's messages.
+    CooMatrix m = tinyMatrix();
+    std::string path = tmpPath("grid_content.htb");
+    writeHtbFromCoo(path, m, 2);
+    std::string bytes = slurp(path);
+    std::string bad = tmpPath("bad_grid_content.htb");
+    auto expectRejected = [&](size_t offset, Index v, const char* what) {
+        SCOPED_TRACE(what);
+        std::string b = bytes;
+        std::memcpy(b.data() + offset, &v, sizeof v);
+        spit(bad, b);
+        MappedMatrix mm(bad);
+        try {
+            TileGrid grid(mm.rows(), mm.cols(), mm.rowIds(), mm.colIds(),
+                          mm.vals(), 2, 2);
+            ADD_FAILURE() << "no FatalError";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+    const size_t row_off = sizeof(HtbHeader);
+    const size_t col_off = row_off + m.nnz() * sizeof(Index);
+
+    // Rows (0,0,1,3) -> (0,3,1,3): row 3 inside panel 0's entries.
+    expectRejected(row_off + 1 * sizeof(Index), 3, "outside panel");
+    // Column at cols.
+    expectRejected(col_off + 0 * sizeof(Index), 4, "outside panel");
+    // (0,1),(0,2) -> (0,1),(0,0): order broken inside panel 0.
+    expectRejected(col_off + 1 * sizeof(Index), 0, "not row-major sorted");
 }
 
 TEST(OutOfCoreHtb, PanelBeginEntryMatchesSearchOnAnyTileHeight)

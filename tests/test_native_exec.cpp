@@ -21,12 +21,14 @@
 
 #include "arch/arch_config.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
 #include "core/calibrate.hpp"
 #include "core/hottiles.hpp"
 #include "core/telemetry.hpp"
 #include "exec/backend.hpp"
+#include "kernels/dispatch.hpp"
 #include "model/worker_traits.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/generators.hpp"
@@ -187,6 +189,26 @@ TEST_F(NativeExec, ReportIsInternallyConsistent)
     EXPECT_GT(rep.gflops, 0.0);
     EXPECT_EQ(rep.requeued_tasks, 0u);
     EXPECT_FALSE(rep.class_failed);
+}
+
+TEST_F(NativeExec, RunCountsKernelDispatchesPerTask)
+{
+    RunSetup s(spmmKernel());
+    ThreadPool::setGlobalThreads(4);
+    Partition p = mixedPartition(s.grid());
+    auto counter = [](const char* op) -> Counter& {
+        return MetricsRegistry::global().counter(
+            std::string("kernel.dispatch.") + op + "." +
+            kernels::tierName(kernels::activeTier()));
+    };
+    const uint64_t coo0 = counter("spmm_coo").value();
+    const uint64_t csr0 = counter("spmm_csr").value();
+    ExecReport rep;
+    exec::makeNativeCpuBackend({})->run(s.grid(), p, s.kernel(), s.din, &rep);
+    ASSERT_GT(rep.hot.tasks, 0u);
+    ASSERT_GT(rep.cold.tasks, 0u);
+    EXPECT_EQ(counter("spmm_coo").value() - coo0, rep.hot.tasks);
+    EXPECT_EQ(counter("spmm_csr").value() - csr0, rep.cold.tasks);
 }
 
 TEST_F(NativeExec, PredictionErrorCoversBothClasses)

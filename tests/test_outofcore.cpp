@@ -124,6 +124,26 @@ TEST(OutOfCorePlan, MatchesInMemoryAcrossThreadsAndWindows)
     }
 }
 
+TEST(OutOfCorePlan, DirectoryOnlyReadjustMatchesInMemory)
+{
+    // With tiled-traversal workers the readjustment reads only the tile
+    // directory: the planner scores on its grid-free context, with no
+    // second pass over the windows.
+    CooMatrix m = sortedRmat(1 << 11, size_t(8) << 11, 19);
+    Architecture arch = testArch(128);
+    arch.cold.traversal = TraversalOrder::TiledRowMajor;
+    HotTilesOptions hopts;
+    hopts.build_formats = false;
+    HotTiles ht(arch, m, hopts);
+
+    CooPanelSource src(m);
+    for (unsigned threads : {1u, 7u}) {
+        ThreadGuard tg(threads);
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectPlanMatchesInMemory(streamedPlan(arch, src, {}), ht);
+    }
+}
+
 TEST(OutOfCorePlan, MappedSourceMatchesCooSource)
 {
     CooMatrix m = sortedRmat(1 << 10, size_t(8) << 10, 23);
@@ -144,6 +164,20 @@ TEST(OutOfCorePlan, MappedSourceMatchesCooSource)
     EXPECT_EQ(plan.nnz, m.nnz());
     EXPECT_EQ(plan.panel_begin.size(), size_t(plan.num_panels) + 1);
     EXPECT_EQ(plan.panel_begin.back(), plan.tiles.size());
+}
+
+/** Run @p fn and expect a FatalError whose message contains @p what. */
+template <typename Fn>
+void
+expectFatal(Fn&& fn, const std::string& what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no FatalError";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(OutOfCorePlan, RejectsMalformedStreams)
@@ -185,6 +219,32 @@ TEST(OutOfCorePlan, RejectsMalformedStreams)
         MappedPanelSource src(mm);
         EXPECT_THROW(streamedPlan(arch, src, {}), FatalError);
     }
+
+    // The scan's pass 1 is shared by the streamed planner and the
+    // mmap-built TileGrid: each malformed input must fail both with the
+    // same FatalError.
+    auto expectBothReject = [&](const std::string& path, const char* what) {
+        SCOPED_TRACE(what);
+        MappedMatrix mm(path);
+        MappedPanelSource src(mm);
+        expectFatal([&] { streamedPlan(arch, src, {}); }, what);
+        expectFatal([&] { HotTiles(arch, mm, {}); }, what);
+    };
+    auto corruptedRow = [&](size_t i, Index r) {
+        std::string b = bytes;
+        std::memcpy(b.data() + sizeof(HtbHeader) + i * sizeof(Index), &r,
+                    sizeof r);
+        std::string path = tmpPath("stream_bad_row.htb");
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(b.data(), std::streamsize(b.size()));
+        return path;
+    };
+    // (0,2) -> (100,2): row 100 sits between panel-0 entries.
+    expectBothReject(corruptedRow(1, 100), "outside panel");
+    // (0,2) -> (0,128): column at cols.
+    expectBothReject(corrupted(1, 128), "outside panel");
+    // (0,2) -> (0,0): order broken inside panel 0.
+    expectBothReject(corrupted(1, 0), "not row-major sorted");
 }
 
 TEST(OutOfCoreMmap, HotTilesBitIdenticalAcrossThreads)

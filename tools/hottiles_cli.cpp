@@ -660,8 +660,6 @@ cmdSimulate(const Options& o)
         if (sinks.json)
             std::cout << "wrote " << sinks.json->events()
                       << " trace events to " << o.trace_json_file << "\n";
-        if (!o.metrics_file.empty())
-            writeMetricsTo(o.metrics_file);
         return 0;
     }
 
@@ -732,8 +730,6 @@ cmdSimulate(const Options& o)
     if (sinks.json)
         std::cout << "wrote " << sinks.json->events()
                   << " trace events to " << o.trace_json_file << "\n";
-    if (!o.metrics_file.empty())
-        writeMetricsTo(o.metrics_file);
     return 0;
 }
 
@@ -843,8 +839,6 @@ cmdRun(const Options& o)
               << "measured-vs-predicted sampled over " << hs.count
               << " hot tiles / " << cs.count
               << " cold panels (prediction_error.native.* histograms)\n";
-    if (!o.metrics_file.empty())
-        writeMetricsTo(o.metrics_file);
     if (rep.class_failed) {
         // Correct result, but a worker class was lost along the way:
         // the distinct exit code lets callers tell "healthy" from
@@ -892,8 +886,6 @@ cmdServe(const Options& o)
               << " value patch(es); cache " << s.cache.hits << " hit / "
               << s.cache.misses << " miss / " << s.cache.shared_builds
               << " shared / " << s.cache.corrupt_dropped << " corrupt\n";
-    if (!o.metrics_file.empty())
-        writeMetricsTo(o.metrics_file);
     return kExitOk;
 }
 
@@ -957,8 +949,6 @@ cmdUpdate(const Options& o)
     std::cout << "accumulated update time: "
               << Table::num(ht.timing().update_s * 1e3, 3) << " ms over "
               << o.updates << " round(s)\n";
-    if (!o.metrics_file.empty())
-        writeMetricsTo(o.metrics_file);
     if (!all_identical) {
         std::cerr << "verification failed: incremental update diverged "
                      "from from-scratch preprocessing\n";
@@ -1029,6 +1019,31 @@ cmdExplore(const Options& o)
     return 0;
 }
 
+/** Dispatch to the subcommand named by @p o; returns its exit code. */
+int
+runCommand(const Options& o, const char* argv0)
+{
+    if (o.command == "suite")
+        return cmdSuite();
+    if (o.command == "analyze")
+        return cmdAnalyze(o);
+    if (o.command == "partition")
+        return cmdPartition(o);
+    if (o.command == "simulate")
+        return cmdSimulate(o);
+    if (o.command == "explore")
+        return cmdExplore(o);
+    if (o.command == "run")
+        return cmdRun(o);
+    if (o.command == "serve")
+        return cmdServe(o);
+    if (o.command == "update")
+        return cmdUpdate(o);
+    if (o.command == "convert")
+        return cmdConvert(o);
+    usage(argv0);
+}
+
 } // namespace
 
 int
@@ -1046,25 +1061,12 @@ main(int argc, char** argv)
     try {
         if (o.threads > 0)
             ThreadPool::setGlobalThreads(o.threads);
-        if (o.command == "suite")
-            return cmdSuite();
-        if (o.command == "analyze")
-            return cmdAnalyze(o);
-        if (o.command == "partition")
-            return cmdPartition(o);
-        if (o.command == "simulate")
-            return cmdSimulate(o);
-        if (o.command == "explore")
-            return cmdExplore(o);
-        if (o.command == "run")
-            return cmdRun(o);
-        if (o.command == "serve")
-            return cmdServe(o);
-        if (o.command == "update")
-            return cmdUpdate(o);
-        if (o.command == "convert")
-            return cmdConvert(o);
-        usage(argv[0]);
+        const int rc = runCommand(o, argv[0]);
+        // One snapshot after whichever subcommand ran, keeping its exit
+        // code, so no subcommand can accept --metrics and drop it.
+        if (!o.metrics_file.empty())
+            writeMetricsTo(o.metrics_file);
+        return rc;
     } catch (const FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return kExitError;
