@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "sparse/suite.hpp"
@@ -44,6 +45,19 @@ TEST(Suite, Deterministic)
     CooMatrix b = makeSuiteMatrix("kro");
     EXPECT_TRUE(a.sameStructure(b));
 }
+
+namespace hottiles {
+
+/** Print an entry by its names.  Without this gtest dumps the raw bytes,
+ *  which hold heap pointers and so change the discovered test names on
+ *  every run. */
+void
+PrintTo(const SuiteEntry& e, std::ostream* os)
+{
+    *os << e.name << " (" << e.full_name << ")";
+}
+
+} // namespace hottiles
 
 /** Parameterized over the whole suite: size budgets hold. */
 class SuiteProxy : public testing::TestWithParam<SuiteEntry>
