@@ -27,6 +27,7 @@
 #include <condition_variable>
 #include <fstream>
 #include <iostream>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -99,10 +100,15 @@ runScenario(const std::string& name, unsigned clients, unsigned per_client,
     row.scenario = name;
     row.clients = clients;
 
-    double t0 = monotonicSeconds();
+    // Clients start at a latch so the wall clock covers requests, not
+    // thread start-up: t0 is taken once every client is waiting.
+    std::latch ready(clients);
+    std::latch go(1);
     std::vector<std::thread> threads;
     for (unsigned c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
+            ready.count_down();
+            go.wait();
             std::vector<double> local;
             for (unsigned i = 0; i < per_client; ++i) {
                 uint64_t id = uint64_t(c) * per_client + i + 1;
@@ -122,6 +128,9 @@ runScenario(const std::string& name, unsigned clients, unsigned per_client,
             latencies.insert(latencies.end(), local.begin(), local.end());
         });
     }
+    ready.wait();
+    const double t0 = monotonicSeconds();
+    go.count_down();
     for (auto& t : threads)
         t.join();
     service.drain();

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "common/error.hpp"
@@ -17,6 +18,24 @@ namespace {
 
 bool g_smoke = false;
 std::string g_usage;
+
+/** A runtime error no bench catches: print it and exit 1, the CLI's
+ *  error code, instead of aborting.  Anything else still aborts. */
+[[noreturn]] void
+onTerminate()
+{
+    if (std::exception_ptr e = std::current_exception()) {
+        try {
+            std::rethrow_exception(e);
+        } catch (const std::exception& ex) {
+            std::cout.flush();
+            std::cerr << "error: " << ex.what() << "\n";
+            std::_Exit(1);
+        } catch (...) {
+        }
+    }
+    std::abort();
+}
 
 } // namespace
 
@@ -63,6 +82,7 @@ flagNumber(int argc, char** argv, int* i)
 void
 init(int* argc, char** argv, const char* options)
 {
+    std::set_terminate(onTerminate);
     g_usage = std::string("usage: ") + argv[0] + " [--smoke] [--threads N]" +
               (*options ? " " : "") + options;
     int out = 1;

@@ -30,7 +30,10 @@ namespace hottiles::bench {
  *   --threads N   thread-pool size (same as the CLI flag).
  * @p options is the synopsis of the bench's own flags for the usage
  * line.  When it is empty the bench takes none, so any argument left
- * over is a usage error.  Call first thing in main().
+ * over is a usage error.  Call first thing in main().  Also installs
+ * the bench-wide handler for runtime errors: an exception that leaves
+ * main (an unwritable --out path, bad input) prints "error: ..." on
+ * stderr and exits 1 instead of aborting.
  */
 void init(int* argc, char** argv, const char* options = "");
 

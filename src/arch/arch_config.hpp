@@ -14,6 +14,7 @@
  */
 
 #include <string>
+#include <string_view>
 
 #include "model/worker_traits.hpp"
 #include "sim/demand_pe.hpp"
@@ -95,5 +96,14 @@ Architecture makePiuma();
 
 /** All four Table IV scales, for the Fig 12 sweep. */
 std::vector<int> spadeSextansScales();
+
+/**
+ * The architecture a spec names: `spade-sextans[:SCALE]` (a Table IV
+ * scale, default 4), `pcie` or `piuma`, case-insensitive.  The one
+ * parser behind the CLI's --arch and serve's arch= field.
+ * @throws FatalError on any other spec, including a scale with stray
+ * characters ("4x", " 4").
+ */
+Architecture architectureFromSpec(std::string_view spec);
 
 } // namespace hottiles

@@ -67,6 +67,10 @@ streamedPlan(const Architecture& arch, const PanelSource& src,
                            src.rowIds(pstart.front(), pstart.back()),
                            src.colIds(pstart.front(), pstart.back()), {}};
     };
+    // The panel index slice of window [p0, p1).
+    auto windowIndex = [&](Index p0, Index p1) {
+        return std::span(plan.panel_begin).subspan(p0, size_t(p1 - p0) + 1);
+    };
     auto release = [&](const PanelWindow& w) {
         src.release(w.start.front(), w.start.back());
         recordPeakRss();
@@ -92,8 +96,8 @@ streamedPlan(const Architecture& arch, const PanelSource& src,
         double t0 = monotonicSeconds();
         const size_t tiles_before = plan.tiles.size();
         const PanelWindow w = acquire(p0, p1);
-        scanPanelWindow(shape, w, plan.tiles, plan.panel_begin, srows, scols,
-                        nullptr);
+        scanPanelWindow(shape, w, plan.tiles, windowIndex(p0, p1), srows,
+                        scols, nullptr);
         double t1 = monotonicSeconds();
         scan_s += t1 - t0;
 
@@ -152,7 +156,7 @@ streamedPlan(const Architecture& arch, const PanelSource& src,
                     const PanelWindow w = acquire(p0, p1);
                     srows.resize(w.rows.size());
                     scatterPanelWindow(shape, w, plan.tiles,
-                                       plan.panel_begin, srows.data(),
+                                       windowIndex(p0, p1), srows.data(),
                                        nullptr, nullptr);
                     auto rows_of = [&](size_t t) {
                         return std::span<const Index>(

@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/random.hpp"
-#include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/calibrate.hpp"
 #include "core/hottiles.hpp"
@@ -27,6 +26,14 @@
 namespace hottiles::serve {
 
 namespace {
+
+/** Remaining-deadline floor below which a cache miss skips the fresh
+ *  build and degrades at once (deadline pressure). */
+constexpr double kFreshFloorMs = 2.0;
+/** How often the watchdog polls in-flight stage deadlines. */
+constexpr double kWatchdogPeriodMs = 1.0;
+/** Base of the exponential backoff between transient-failure retries. */
+constexpr double kBackoffBaseMs = 1.0;
 
 /** The flight slot of the worker thread currently handling a request
  *  (set by workerLoop before it invokes queued work). */
@@ -77,30 +84,6 @@ struct ChaosPlan
         }
     }
 };
-
-Architecture
-archFromSpec(const std::string& spec)
-{
-    auto parts = splitChar(spec, ':');
-    std::string base = toLower(parts[0]);
-    if (base == "spade-sextans") {
-        int scale = 4;
-        if (parts.size() > 1) {
-            long s = std::strtol(std::string(parts[1]).c_str(), nullptr, 10);
-            HT_FATAL_IF(s <= 0 || s > 256,
-                        "arch scale must be in [1, 256], got '", parts[1],
-                        "'");
-            scale = static_cast<int>(s);
-        }
-        return makeSpadeSextans(scale);
-    }
-    if (base == "pcie")
-        return makeSpadeSextansPcie();
-    if (base == "piuma")
-        return makePiuma();
-    HT_FATAL("unknown architecture '", spec,
-             "' (try spade-sextans[:1|2|4|8], pcie, piuma)");
-}
 
 /** The homogeneous fallback of the degradation ladder: every tile on
  *  the cold (base-format) workers.  Needs only the tile count — no
@@ -429,7 +412,7 @@ void
 PlanService::watchdogLoop()
 {
     auto period = std::chrono::duration<double, std::milli>(
-        std::max(cfg_.watchdog_period_ms, 0.05));
+        kWatchdogPeriodMs);
     while (!watchdog_stop_.load(std::memory_order_relaxed)) {
         double now = nowSeconds();
         for (auto& f : flights_) {
@@ -482,7 +465,7 @@ PlanService::resolveArch(const std::string& spec)
         if (it != archs_.end())
             return it->second;
     }
-    Architecture a = calibrated(archFromSpec(spec));
+    Architecture a = calibrated(architectureFromSpec(spec));
     std::lock_guard<std::mutex> lock(resolve_mu_);
     return archs_
         .emplace(spec, std::make_shared<Architecture>(std::move(a)))
@@ -665,7 +648,7 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
         arm(nowSeconds() + remaining() * cfg_.plan_budget_fraction);
 
         auto builder = [&]() -> CachedPlan {
-            if (remaining() * 1e3 < cfg_.fresh_floor_ms)
+            if (remaining() * 1e3 < kFreshFloorMs)
                 throw BuildCancelled{"deadline-pressure"};
             if (flaky_pending) {
                 flaky_pending = false;
@@ -703,7 +686,7 @@ PlanService::handle(const ServeRequest& req, FlightSlot& slot)
             n_retries_.fetch_add(1, std::memory_order_relaxed);
             MetricsRegistry::global().counter("serve.retries").add();
             traceTransition("retry", req.id);
-            double backoff_ms = cfg_.backoff_base_ms *
+            double backoff_ms = kBackoffBaseMs *
                                 double(1u << reply.retries) *
                                 (0.5 + jitter_rng.nextDouble());
             backoff_ms = std::min(backoff_ms, remaining() * 1e3);

@@ -152,15 +152,10 @@ struct ServiceConfig
     size_t cache_capacity = 128;    //!< resident plans (0 = cache off)
     double default_deadline_ms = 1000;
     uint32_t max_retries = 2;       //!< transient-failure retry bound
-    double backoff_base_ms = 1.0;   //!< exponential backoff base
     /** Fraction of the remaining deadline granted to the plan stage;
      *  the held-back remainder is what lets a cancelled plan stage
      *  still degrade to the homogeneous fallback in time. */
     double plan_budget_fraction = 0.8;
-    /** Remaining-deadline floor below which a cache miss skips the
-     *  fresh build and degrades immediately (deadline pressure). */
-    double fresh_floor_ms = 2.0;
-    double watchdog_period_ms = 1.0;
     /** Join structurally-identical in-flight Run requests onto one
      *  build + execution and fan the reply out (request coalescing). */
     bool coalesce_runs = true;

@@ -25,8 +25,8 @@ buildUntiledWork(const TileGrid& grid, const std::vector<size_t>& tile_ids)
 {
     ScopedTimer timer("format.untiled_build");
     // Tiles arrive in grid order (panel, tcol); group consecutively.
-    // The grouping scan is cheap and serial; building each panel's
-    // gather + sort is independent and runs on the pool.
+    // The grouping scan is cheap and serial; each panel's row-major
+    // gather is independent and runs on the pool.
     std::vector<std::pair<size_t, size_t>> groups;  // [first, last) ids
     size_t i = 0;
     while (i < tile_ids.size()) {
@@ -43,42 +43,14 @@ buildUntiledWork(const TileGrid& grid, const std::vector<size_t>& tile_ids)
 
     UntiledWork work;
     work.panels.resize(groups.size());
-    // Row-major order comes from a counting sort by row: tiles are
-    // visited in ascending tile-column order and each tile is already
-    // (row, col)-sorted, so scattering per row preserves ascending
-    // columns — no comparison sort needed.
-    const size_t tile_h = grid.tileHeight();
     parallelFor(0, groups.size(), kGrainPanels, [&](size_t gb, size_t ge) {
-        std::vector<size_t> cursor(tile_h + 1);
+        std::vector<size_t> cursor;
         for (size_t g = gb; g < ge; ++g) {
             auto [first, last] = groups[g];
-            const Index panel = grid.tile(tile_ids[first]).panel;
-            const Index row0 = grid.tile(tile_ids[first]).row0;
-            size_t nnz = 0;
-            std::fill(cursor.begin(), cursor.end(), 0);
-            for (size_t t = first; t < last; ++t) {
-                nnz += grid.tile(tile_ids[t]).nnz;
-                for (Index r : grid.tileRows(tile_ids[t]))
-                    ++cursor[r - row0 + 1];
-            }
-            for (size_t r = 1; r <= tile_h; ++r)
-                cursor[r] += cursor[r - 1];
             PanelWork& pw = work.panels[g];
-            pw.panel = panel;
-            pw.rows.resize(nnz);
-            pw.cols.resize(nnz);
-            pw.vals.resize(nnz);
-            for (size_t t = first; t < last; ++t) {
-                auto rs = grid.tileRows(tile_ids[t]);
-                auto cs = grid.tileCols(tile_ids[t]);
-                auto vs = grid.tileVals(tile_ids[t]);
-                for (size_t i = 0; i < rs.size(); ++i) {
-                    size_t pos = cursor[rs[i] - row0]++;
-                    pw.rows[pos] = rs[i];
-                    pw.cols[pos] = cs[i];
-                    pw.vals[pos] = vs[i];
-                }
-            }
+            pw.panel = grid.tile(tile_ids[first]).panel;
+            grid.gatherPanel({tile_ids.data() + first, last - first}, pw.rows,
+                             pw.cols, pw.vals, cursor);
         }
     });
     for (const PanelWork& pw : work.panels)

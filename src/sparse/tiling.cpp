@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <ranges>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -66,11 +67,18 @@ countUniques(Tile& t, const Index* rows, const Index* cols,
     t.uniq_cids = uniq_c;
 }
 
+/** (row, col) as one key in row-major order. */
+uint64_t
+coordKey(Index r, Index c)
+{
+    return uint64_t(r) << 32 | c;
+}
+
 } // namespace
 
 void
 scanPanelWindow(const TileShape& s, const PanelWindow& w,
-                std::vector<Tile>& tiles, std::vector<size_t>& panel_begin,
+                std::vector<Tile>& tiles, std::span<size_t> panel_begin,
                 std::vector<Index>& tiled_rows,
                 std::vector<Index>& tiled_cols,
                 std::vector<Value>* tiled_vals)
@@ -81,6 +89,7 @@ scanPanelWindow(const TileShape& s, const PanelWindow& w,
     HT_ASSERT(w.rows.size() == n && w.cols.size() == n,
               "window spans must cover its entries");
     HT_ASSERT(!tiled_vals || w.vals.size() == n, "window values missing");
+    HT_ASSERT(panel_begin.size() == wp + 1, "panel index must fit the window");
 
     // Pass 1: validate and build per-panel compact histograms.  The
     // flat per-chunk scratch counter is reset by visiting only the
@@ -118,12 +127,12 @@ scanPanelWindow(const TileShape& s, const PanelWindow& w,
     });
 
     // Directory append in (panel, tcol) order.  The window's first
-    // tile starts at global offset `base`: offsets accumulate every
-    // earlier panel's entries.
+    // tile starts at offset `base`: offsets accumulate every earlier
+    // panel's entries.
     // A window of every panel (TileGrid) sizes the directory exactly;
     // streamed windows let it grow geometrically.
     const size_t tiles_before = tiles.size();
-    if (w.p0 == 0 && wp + 1 == panel_begin.size()) {
+    if (w.p0 == 0 && wp == s.numPanels()) {
         size_t ntiles = tiles_before;
         for (const PanelHist& h : hist)
             ntiles += h.tcols.size();
@@ -132,14 +141,14 @@ scanPanelWindow(const TileShape& s, const PanelWindow& w,
     size_t offset = base;
     for (size_t j = 0; j < wp; ++j) {
         const Index p = w.p0 + Index(j);
-        panel_begin[p] = tiles.size();
+        panel_begin[j] = tiles.size();
         const PanelHist& h = hist[j];
         for (size_t k = 0; k < h.tcols.size(); ++k) {
             tiles.push_back(makeTile(s, p, h.tcols[k], offset, h.counts[k]));
             offset += h.counts[k];
         }
     }
-    panel_begin[w.p0 + wp] = tiles.size();
+    panel_begin[wp] = tiles.size();
 
     // Pass 2: stable counting-sort scatter into tiled order.
     tiled_rows.resize(n);
@@ -169,15 +178,14 @@ scanPanelWindow(const TileShape& s, const PanelWindow& w,
 void
 scatterPanelWindow(const TileShape& s, const PanelWindow& w,
                    const std::vector<Tile>& tiles,
-                   const std::vector<size_t>& panel_begin, Index* out_rows,
+                   std::span<const size_t> panel_begin, Index* out_rows,
                    Index* out_cols, Value* out_vals)
 {
     const size_t base = w.start.front();
     parallelFor(0, w.start.size() - 1, kGrainPanels, [&](size_t pb, size_t pe) {
         std::vector<size_t> cursor(s.numTileCols());
         for (size_t j = pb; j < pe; ++j) {
-            const Index p = w.p0 + Index(j);
-            for (size_t t = panel_begin[p]; t < panel_begin[p + 1]; ++t)
+            for (size_t t = panel_begin[j]; t < panel_begin[j + 1]; ++t)
                 cursor[tiles[t].tcol] = tiles[t].offset - base;
             for (size_t i = w.start[j] - base; i < w.start[j + 1] - base;
                  ++i) {
@@ -356,6 +364,36 @@ TileGrid::tileCoo(size_t i) const
     return m;
 }
 
+void
+TileGrid::gatherPanel(std::span<const size_t> tile_ids,
+                      std::vector<Index>& rows, std::vector<Index>& cols,
+                      std::vector<Value>& vals,
+                      std::vector<size_t>& cursor) const
+{
+    const Index row0 = tile_ids.empty() ? 0 : tiles_[tile_ids[0]].row0;
+    cursor.assign(size_t(tile_h_) + 1, 0);
+    for (size_t id : tile_ids)
+        for (Index r : tileRows(id))
+            ++cursor[r - row0 + 1];
+    for (size_t r = 1; r <= tile_h_; ++r)
+        cursor[r] += cursor[r - 1];
+    const size_t nnz = cursor[tile_h_];
+    rows.resize(nnz);
+    cols.resize(nnz);
+    vals.resize(nnz);
+    for (size_t id : tile_ids) {
+        auto rs = tileRows(id);
+        auto cs = tileCols(id);
+        auto vs = tileVals(id);
+        for (size_t i = 0; i < rs.size(); ++i) {
+            const size_t pos = cursor[rs[i] - row0]++;
+            rows[pos] = rs[i];
+            cols[pos] = cs[i];
+            vals[pos] = vs[i];
+        }
+    }
+}
+
 TileGridDelta
 TileGrid::applyDelta(const DeltaBatch& d)
 {
@@ -376,6 +414,7 @@ TileGrid::applyDelta(const DeltaBatch& d)
         Index row, col;
         Value val;
         bool is_insert;
+        uint64_t key() const { return coordKey(row, col); }
     };
     std::vector<std::vector<Op>> panel_ops(num_panels_);
     for (size_t i = 0; i < d.inserts(); ++i) {
@@ -399,137 +438,91 @@ TileGrid::applyDelta(const DeltaBatch& d)
         }
     }
 
-    // Per-dirty-panel re-tile: merge the panel's old per-tile nonzero
-    // runs with its ops, tile column by tile column, producing new tiled
-    // arrays and tile stats with panel-local offsets.  Panels are
-    // independent, so the rebuild parallelizes race-free.
+    // Re-tile each dirty panel through the fresh build's scan: gather
+    // its old nonzeros row-major, merge them with the panel's ops, and
+    // scan the result as a one-panel window (tile offsets come out
+    // panel-local).  Panels are independent, so the rebuild
+    // parallelizes race-free.
     struct PanelRebuild
     {
-        std::vector<Tile> tiles;  // offsets are panel-local
+        std::vector<Tile> tiles;
         std::vector<Index> rows, cols;
         std::vector<Value> vals;
     };
     std::vector<PanelRebuild> rebuilt(out.dirty_panels.size());
-    std::vector<int64_t> rb_of_panel(num_panels_, -1);
-    for (size_t i = 0; i < out.dirty_panels.size(); ++i)
-        rb_of_panel[out.dirty_panels[i]] = int64_t(i);
-
     const TileShape shape{rows_, cols_, tile_h_, tile_w_};
     parallelFor(0, out.dirty_panels.size(), 1, [&](size_t rb0, size_t rb1) {
-        std::vector<uint32_t> col_stamp(tile_w_, 0);
-        uint32_t generation = 0;
+        std::vector<size_t> ids, cursor;
+        std::vector<Index> rows, cols;
+        std::vector<Value> vals;
         for (size_t ri = rb0; ri < rb1; ++ri) {
             const Index p = out.dirty_panels[ri];
-            PanelRebuild& rb = rebuilt[ri];
             std::vector<Op>& ops = panel_ops[p];
-            // (tcol, row, col) order groups ops by tile column while
-            // keeping each group mergeable against the tile's sorted
-            // (row, col) run; equal coordinates are a contract breach.
-            std::sort(ops.begin(), ops.end(), [&](const Op& a, const Op& b) {
-                Index ta = a.col / tile_w_, tb = b.col / tile_w_;
-                if (ta != tb)
-                    return ta < tb;
-                if (a.row != b.row)
-                    return a.row < b.row;
-                return a.col < b.col;
+            std::sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+                return a.key() < b.key();
             });
             for (size_t i = 1; i < ops.size(); ++i)
-                HT_FATAL_IF(ops[i - 1].row == ops[i].row &&
-                                ops[i - 1].col == ops[i].col,
+                HT_FATAL_IF(ops[i - 1].key() == ops[i].key(),
                             "delta touches (", ops[i].row, ",", ops[i].col,
                             ") more than once");
-            const size_t old_tb = panel_begin_[p];
-            const size_t old_te = panel_begin_[size_t(p) + 1];
-            size_t old_nnz = 0;
-            for (size_t ti = old_tb; ti < old_te; ++ti)
-                old_nnz += tiles_[ti].nnz;
-            rb.rows.reserve(old_nnz + ops.size());
-            rb.cols.reserve(old_nnz + ops.size());
-            rb.vals.reserve(old_nnz + ops.size());
 
-            // Walk the union of old tile columns and op tile columns in
-            // ascending tcol order, merging each pair of sorted runs.
-            size_t ti = old_tb;
-            size_t oi = 0;
-            while (ti < old_te || oi < ops.size()) {
-                Index tc;
-                if (ti < old_te && oi < ops.size())
-                    tc = std::min(tiles_[ti].tcol, ops[oi].col / tile_w_);
-                else if (ti < old_te)
-                    tc = tiles_[ti].tcol;
-                else
-                    tc = ops[oi].col / tile_w_;
+            // The old nonzeros go row-major into the rebuild buffers;
+            // the scan below overwrites them with the panel's new tiles.
+            PanelRebuild& rb = rebuilt[ri];
+            ids.resize(panel_begin_[size_t(p) + 1] - panel_begin_[p]);
+            std::iota(ids.begin(), ids.end(), panel_begin_[p]);
+            gatherPanel(ids, rb.rows, rb.cols, rb.vals, cursor);
 
-                const size_t tile_off = rb.rows.size();
-                size_t ei = 0, en = 0;  // old entries of this tcol
-                if (ti < old_te && tiles_[ti].tcol == tc) {
-                    ei = tiles_[ti].offset;
-                    en = ei + tiles_[ti].nnz;
-                    ++ti;
+            // Merge two (row, col)-sorted runs: old entries between ops
+            // are copied in bulk.  An insert must land on an empty
+            // coordinate and a delete on an occupied one.
+            rows.clear();
+            cols.clear();
+            vals.clear();
+            rows.reserve(rb.rows.size() + ops.size());
+            cols.reserve(rb.rows.size() + ops.size());
+            vals.reserve(rb.rows.size() + ops.size());
+            size_t e = 0;
+            auto keepOld = [&](size_t end) {
+                rows.insert(rows.end(), rb.rows.begin() + e,
+                            rb.rows.begin() + end);
+                cols.insert(cols.end(), rb.cols.begin() + e,
+                            rb.cols.begin() + end);
+                vals.insert(vals.end(), rb.vals.begin() + e,
+                            rb.vals.begin() + end);
+                e = end;
+            };
+            auto oldKey = [&](size_t i) {
+                return coordKey(rb.rows[i], rb.cols[i]);
+            };
+            for (const Op& op : ops) {
+                const auto rest = std::views::iota(e, rb.rows.size());
+                const auto next = std::ranges::partition_point(
+                    rest, [&](size_t i) { return oldKey(i) < op.key(); });
+                keepOld(e + size_t(next - rest.begin()));
+                const bool exists = e < rb.rows.size() && oldKey(e) == op.key();
+                HT_FATAL_IF(exists && op.is_insert,
+                            "delta inserts existing nonzero (", op.row, ",",
+                            op.col, ")");
+                HT_FATAL_IF(!exists && !op.is_insert,
+                            "delta deletes missing nonzero (", op.row, ",",
+                            op.col, ")");
+                if (op.is_insert) {
+                    rows.push_back(op.row);
+                    cols.push_back(op.col);
+                    vals.push_back(op.val);
+                } else {
+                    ++e;  // delete: drop the old entry
                 }
-                auto opHere = [&] {
-                    return oi < ops.size() && ops[oi].col / tile_w_ == tc;
-                };
-                auto opLess = [&](size_t e) {
-                    return ops[oi].row < tiled_rows_[e] ||
-                           (ops[oi].row == tiled_rows_[e] &&
-                            ops[oi].col < tiled_cols_[e]);
-                };
-                auto opSame = [&](size_t e) {
-                    return ops[oi].row == tiled_rows_[e] &&
-                           ops[oi].col == tiled_cols_[e];
-                };
-                while (ei < en || opHere()) {
-                    if (ei == en || (opHere() && opLess(ei))) {
-                        // Op strictly before the next old entry: only an
-                        // insert can land on an empty coordinate.
-                        HT_FATAL_IF(!ops[oi].is_insert,
-                                    "delta deletes missing nonzero (",
-                                    ops[oi].row, ",", ops[oi].col, ")");
-                        rb.rows.push_back(ops[oi].row);
-                        rb.cols.push_back(ops[oi].col);
-                        rb.vals.push_back(ops[oi].val);
-                        ++oi;
-                    } else if (opHere() && opSame(ei)) {
-                        HT_FATAL_IF(ops[oi].is_insert,
-                                    "delta inserts existing nonzero (",
-                                    ops[oi].row, ",", ops[oi].col, ")");
-                        ++oi;  // delete: drop the old entry
-                        ++ei;
-                    } else {
-                        rb.rows.push_back(tiled_rows_[ei]);
-                        rb.cols.push_back(tiled_cols_[ei]);
-                        rb.vals.push_back(tiled_vals_[ei]);
-                        ++ei;
-                    }
-                }
-                const size_t tile_nnz = rb.rows.size() - tile_off;
-                if (tile_nnz == 0)
-                    continue;  // tile went empty: eliminated, like fresh
-                // Stats exactly as the fresh scan's pass 3.
-                Tile t = makeTile(shape, p, tc, tile_off, tile_nnz);
-                countUniques(t, rb.rows.data() + tile_off,
-                             rb.cols.data() + tile_off, col_stamp,
-                             generation);
-                rb.tiles.push_back(t);
             }
+            keepOld(rb.rows.size());
+
+            const size_t start[2] = {0, rows.size()};
+            size_t panel_begin[2];
+            scanPanelWindow(shape, {p, start, rows, cols, vals}, rb.tiles,
+                            panel_begin, rb.rows, rb.cols, &rb.vals);
         }
     });
-
-    // Old per-panel data offsets, needed by the in-place move below;
-    // tiles are stored with contiguous running offsets, so this is a
-    // running sum of panel nnz.
-    std::vector<size_t> old_data_off(size_t(num_panels_) + 1);
-    {
-        size_t run = 0;
-        for (Index p = 0; p < num_panels_; ++p) {
-            old_data_off[p] = run;
-            for (size_t ti = panel_begin_[p]; ti < panel_begin_[size_t(p) + 1];
-                 ++ti)
-                run += tiles_[ti].nnz;
-        }
-        old_data_off[num_panels_] = run;
-    }
 
     // Splice: rebuild the tile directory with fresh running offsets
     // (identical to the constructor's walk), then move each panel's
@@ -542,142 +535,110 @@ TileGrid::applyDelta(const DeltaBatch& d)
     new_panel_begin.assign(size_t(num_panels_) + 1, 0);
     std::vector<size_t> panel_data_off(num_panels_, 0);
     size_t offset = 0;
+    size_t ri = 0;
     for (Index p = 0; p < num_panels_; ++p) {
         new_panel_begin[p] = new_tiles.size();
         panel_data_off[p] = offset;
-        if (rb_of_panel[p] < 0) {
-            for (size_t ti = panel_begin_[p]; ti < panel_begin_[size_t(p) + 1];
-                 ++ti) {
-                Tile t = tiles_[ti];
-                t.offset = offset;
-                offset += t.nnz;
-                new_tiles.push_back(t);
-            }
+        auto append = [&](Tile t) {
+            t.offset = offset;
+            offset += t.nnz;
+            new_tiles.push_back(t);
+        };
+        if (out.panelDirty(p)) {
+            for (const Tile& t : rebuilt[ri++].tiles)
+                append(t);
         } else {
-            for (Tile t : rebuilt[size_t(rb_of_panel[p])].tiles) {
-                t.offset = offset;
-                offset += t.nnz;
-                new_tiles.push_back(t);
-            }
+            for (size_t ti = panel_begin_[p]; ti < panel_begin_[size_t(p) + 1];
+                 ++ti)
+                append(tiles_[ti]);
         }
     }
     new_panel_begin[num_panels_] = new_tiles.size();
 
+    // In-place splice.  A batch that outgrows the arrays first reserves
+    // 1/8 headroom, so a growing update stream reallocates rarely.
+    // Maximal runs of consecutive clean panels keep their internal
+    // layout and shift by one per-run constant, so each run is a single
+    // overlapping memmove.  Left-shifting runs move in ascending order,
+    // right-shifting ones in descending order — either way a run's
+    // destination never covers a not-yet-moved run's source (sources
+    // and destinations are both monotone in panel order) — and dirty
+    // panels, whose data lives in the rebuild buffers, are written
+    // last.  Runs with zero shift (everything before the first dirty
+    // panel and, for nnz-neutral batches, everything after the last)
+    // cost nothing.
     const size_t old_total = tiled_rows_.size();
     const size_t new_total = offset;
-    if (new_total <= tiled_rows_.capacity() &&
-        new_total <= tiled_cols_.capacity() &&
-        new_total <= tiled_vals_.capacity()) {
-        // In-place splice: maximal runs of consecutive clean panels
-        // keep their internal layout and shift by one per-run constant,
-        // so each run is a single overlapping memmove.  Left-shifting
-        // runs move in ascending order, right-shifting ones in
-        // descending order — either way a run's destination never
-        // covers a not-yet-moved run's source (sources and destinations
-        // are both monotone in panel order) — and dirty panels, whose
-        // data lives in the rebuild buffers, are written last.  Runs
-        // with zero shift (everything before the first dirty panel and,
-        // for nnz-neutral batches, everything after the last) cost
-        // nothing, and no 3x-nnz reallocation happens at all.
-        if (new_total > old_total) {
-            tiled_rows_.resize(new_total);
-            tiled_cols_.resize(new_total);
-            tiled_vals_.resize(new_total);
+    // Tile offsets run contiguously and an empty panel's index points at
+    // the next panel's first tile, so that tile's offset is the panel's
+    // old data offset.
+    auto oldDataOff = [&](Index p) {
+        const size_t t = panel_begin_[p];
+        return t < tiles_.size() ? tiles_[t].offset : old_total;
+    };
+    if (new_total > tiled_rows_.capacity() ||
+        new_total > tiled_cols_.capacity() ||
+        new_total > tiled_vals_.capacity()) {
+        const size_t capacity = new_total + new_total / 8;
+        tiled_rows_.reserve(capacity);
+        tiled_cols_.reserve(capacity);
+        tiled_vals_.reserve(capacity);
+    }
+    if (new_total > old_total) {
+        tiled_rows_.resize(new_total);
+        tiled_cols_.resize(new_total);
+        tiled_vals_.resize(new_total);
+    }
+    struct Run
+    {
+        size_t src, dst, len;
+    };
+    std::vector<Run> runs;
+    for (Index p = 0; p < num_panels_;) {
+        if (out.panelDirty(p)) {
+            ++p;
+            continue;
         }
-        struct Run
-        {
-            size_t src, dst, len;
-        };
-        std::vector<Run> runs;
-        for (Index p = 0; p < num_panels_;) {
-            if (rb_of_panel[p] >= 0) {
-                ++p;
-                continue;
-            }
-            Index q = p;
-            while (q < num_panels_ && rb_of_panel[q] < 0)
-                ++q;
-            const size_t src = old_data_off[p];
-            const size_t dst = panel_data_off[p];
-            const size_t len = old_data_off[q] - src;
-            if (len != 0 && src != dst)
-                runs.push_back({src, dst, len});
-            p = q;
+        Index q = p;
+        while (q < num_panels_ && !out.panelDirty(q))
+            ++q;
+        const size_t src = oldDataOff(p);
+        const size_t dst = panel_data_off[p];
+        const size_t len = oldDataOff(q) - src;
+        if (len != 0 && src != dst)
+            runs.push_back({src, dst, len});
+        p = q;
+    }
+    auto moveRun = [&](const Run& r) {
+        std::memmove(tiled_rows_.data() + r.dst, tiled_rows_.data() + r.src,
+                     r.len * sizeof(Index));
+        std::memmove(tiled_cols_.data() + r.dst, tiled_cols_.data() + r.src,
+                     r.len * sizeof(Index));
+        std::memmove(tiled_vals_.data() + r.dst, tiled_vals_.data() + r.src,
+                     r.len * sizeof(Value));
+    };
+    for (const Run& r : runs)
+        if (r.dst < r.src)
+            moveRun(r);
+    for (auto it = runs.rbegin(); it != runs.rend(); ++it)
+        if (it->dst > it->src)
+            moveRun(*it);
+    parallelFor(0, out.dirty_panels.size(), 1, [&](size_t rb0, size_t rb1) {
+        for (size_t ri = rb0; ri < rb1; ++ri) {
+            const PanelRebuild& rb = rebuilt[ri];
+            const size_t dst = panel_data_off[out.dirty_panels[ri]];
+            std::copy_n(rb.rows.data(), rb.rows.size(),
+                        tiled_rows_.data() + dst);
+            std::copy_n(rb.cols.data(), rb.cols.size(),
+                        tiled_cols_.data() + dst);
+            std::copy_n(rb.vals.data(), rb.vals.size(),
+                        tiled_vals_.data() + dst);
         }
-        auto moveRun = [&](const Run& r) {
-            std::memmove(tiled_rows_.data() + r.dst,
-                         tiled_rows_.data() + r.src, r.len * sizeof(Index));
-            std::memmove(tiled_cols_.data() + r.dst,
-                         tiled_cols_.data() + r.src, r.len * sizeof(Index));
-            std::memmove(tiled_vals_.data() + r.dst,
-                         tiled_vals_.data() + r.src, r.len * sizeof(Value));
-        };
-        for (const Run& r : runs)
-            if (r.dst < r.src)
-                moveRun(r);
-        for (auto it = runs.rbegin(); it != runs.rend(); ++it)
-            if (it->dst > it->src)
-                moveRun(*it);
-        parallelFor(0, out.dirty_panels.size(), 1,
-                    [&](size_t rb0, size_t rb1) {
-                        for (size_t ri = rb0; ri < rb1; ++ri) {
-                            const PanelRebuild& rb = rebuilt[ri];
-                            const size_t dst =
-                                panel_data_off[out.dirty_panels[ri]];
-                            std::copy_n(rb.rows.data(), rb.rows.size(),
-                                        tiled_rows_.data() + dst);
-                            std::copy_n(rb.cols.data(), rb.cols.size(),
-                                        tiled_cols_.data() + dst);
-                            std::copy_n(rb.vals.data(), rb.vals.size(),
-                                        tiled_vals_.data() + dst);
-                        }
-                    });
-        if (new_total < old_total) {
-            tiled_rows_.resize(new_total);
-            tiled_cols_.resize(new_total);
-            tiled_vals_.resize(new_total);
-        }
-    } else {
-        // The batch outgrew the arrays: allocate fresh ones with some
-        // headroom so subsequent updates splice in place again, and
-        // copy every panel to its new position in parallel.
-        const size_t slack = new_total + new_total / 8;
-        std::vector<Index> new_rows, new_cols;
-        std::vector<Value> new_vals;
-        new_rows.reserve(slack);
-        new_cols.reserve(slack);
-        new_vals.reserve(slack);
-        new_rows.resize(new_total);
-        new_cols.resize(new_total);
-        new_vals.resize(new_total);
-        parallelFor(0, num_panels_, kGrainPanels, [&](size_t pb, size_t pe) {
-            for (size_t p = pb; p < pe; ++p) {
-                const size_t dst = panel_data_off[p];
-                if (rb_of_panel[p] < 0) {
-                    const size_t src = old_data_off[p];
-                    const size_t len = old_data_off[p + 1] - src;
-                    if (len == 0)
-                        continue;
-                    std::copy_n(tiled_rows_.data() + src, len,
-                                new_rows.data() + dst);
-                    std::copy_n(tiled_cols_.data() + src, len,
-                                new_cols.data() + dst);
-                    std::copy_n(tiled_vals_.data() + src, len,
-                                new_vals.data() + dst);
-                } else {
-                    const PanelRebuild& rb = rebuilt[size_t(rb_of_panel[p])];
-                    std::copy_n(rb.rows.data(), rb.rows.size(),
-                                new_rows.data() + dst);
-                    std::copy_n(rb.cols.data(), rb.cols.size(),
-                                new_cols.data() + dst);
-                    std::copy_n(rb.vals.data(), rb.vals.size(),
-                                new_vals.data() + dst);
-                }
-            }
-        });
-        tiled_rows_ = std::move(new_rows);
-        tiled_cols_ = std::move(new_cols);
-        tiled_vals_ = std::move(new_vals);
+    });
+    if (new_total < old_total) {
+        tiled_rows_.resize(new_total);
+        tiled_cols_.resize(new_total);
+        tiled_vals_.resize(new_total);
     }
 
     std::swap(tiles_, new_tiles);

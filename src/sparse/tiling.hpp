@@ -93,12 +93,15 @@ struct PanelWindow
 
 /**
  * The matrix scan of one panel window, shared by TileGrid (all panels
- * as one window) and the out-of-core planner (docs/OUTOFCORE.md):
+ * as one window), its delta re-tiling (one dirty panel per window) and
+ * the out-of-core planner (docs/OUTOFCORE.md):
  *  - pass 1 validates each entry (row inside its panel, column in
  *    range, row-major order within the panel) and histograms the
  *    panel's occupied tile columns;
- *  - the window's tiles are appended to @p tiles with global offsets,
- *    and panel_begin[p0 .. p0 + panels] is set;
+ *  - the window's tiles are appended to @p tiles, the first at offset
+ *    start.front(), and @p panel_begin — the window's slice of the
+ *    panel index, panels + 1 entries — gets panel p0 + j's first tile
+ *    at [j];
  *  - pass 2 (scatterPanelWindow) puts the entries in tiled order at
  *    window-local positions of the outputs, resized to the window;
  *  - pass 3 fills each new tile's unique row and column counts.
@@ -108,7 +111,7 @@ struct PanelWindow
  */
 void scanPanelWindow(const TileShape& shape, const PanelWindow& w,
                      std::vector<Tile>& tiles,
-                     std::vector<size_t>& panel_begin,
+                     std::span<size_t> panel_begin,
                      std::vector<Index>& tiled_rows,
                      std::vector<Index>& tiled_cols,
                      std::vector<Value>* tiled_vals);
@@ -117,12 +120,14 @@ void scanPanelWindow(const TileShape& shape, const PanelWindow& w,
  * Stable counting-sort scatter of a window whose tiles are in the
  * directory, parallel over panels: each panel seeds a cursor per
  * occupied tile column from its tiles' offsets and walks its own
- * entries.  Destinations are unique, so the scatter is race-free and
- * bit-identical to the serial walk.  Null outputs are skipped.
+ * entries.  @p panel_begin is the window's slice of the panel index,
+ * as scanPanelWindow takes it.  Destinations are unique, so the
+ * scatter is race-free and bit-identical to the serial walk.  Null
+ * outputs are skipped.
  */
 void scatterPanelWindow(const TileShape& shape, const PanelWindow& w,
                         const std::vector<Tile>& tiles,
-                        const std::vector<size_t>& panel_begin,
+                        std::span<const size_t> panel_begin,
                         Index* tiled_rows, Index* tiled_cols,
                         Value* tiled_vals);
 
@@ -202,6 +207,17 @@ class TileGrid
     CooMatrix gatherTiles(const std::vector<size_t>& tile_ids) const;
 
     /**
+     * Gather tiles @p tile_ids — all of one row panel, in grid order —
+     * into row-major order: a counting sort by row over the tiles'
+     * (row, col)-sorted runs, so each row's columns stay ascending.  The
+     * outputs are resized to the tiles' nnz; @p cursor is scratch.
+     */
+    void gatherPanel(std::span<const size_t> tile_ids,
+                     std::vector<Index>& rows, std::vector<Index>& cols,
+                     std::vector<Value>& vals,
+                     std::vector<size_t>& cursor) const;
+
+    /**
      * Position of the nonzero at (@p r, @p c) in the tiled-order arrays,
      * or SIZE_MAX when that coordinate is empty (or out of bounds).
      * When @p tile_out is non-null it receives the owning tile's index.
@@ -220,9 +236,10 @@ class TileGrid
 
     /**
      * Patch the grid in place with one DeltaBatch: only the row panels
-     * the batch touches are re-tiled (per-tile merge + stats recompute);
-     * clean panels keep their tiles and have their nonzero ranges
-     * spliced over unchanged.  The result is bit-identical to
+     * the batch touches are re-tiled (gatherPanel, a merge with the
+     * panel's ops, then scanPanelWindow on that one panel); clean panels
+     * keep their tiles and have their nonzero ranges spliced over
+     * unchanged.  The result is bit-identical to
      * constructing a fresh TileGrid from the patched matrix
      * (TileGrid(applyDeltaToCoo(m, d), h, w)), including tile order,
      * offsets and per-tile statistics.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch_config.hpp"
+#include "common/error.hpp"
 
 using namespace hottiles;
 
@@ -108,4 +109,19 @@ TEST(Arch, ScratchpadFitsTile)
             uint64_t(a.tile_width) * 32 * a.hot.value_bytes;
         EXPECT_LE(tile_bytes, a.hot.scratchpad_bytes) << a.name;
     }
+}
+
+TEST(Arch, SpecParserIsStrict)
+{
+    EXPECT_EQ(architectureFromSpec("spade-sextans").name,
+              makeSpadeSextans(4).name);
+    EXPECT_EQ(architectureFromSpec("SPADE-Sextans:8").name,
+              makeSpadeSextans(8).name);
+    EXPECT_EQ(architectureFromSpec("pcie").name, makeSpadeSextansPcie().name);
+    EXPECT_EQ(architectureFromSpec("piuma").name, makePiuma().name);
+    for (const char* bad :
+         {"spade-sextans:4x", "spade-sextans: 4", "spade-sextans:", "",
+          "spade-sextans:3", "spade-sextans:-4", "spade-sextans:4:4",
+          "piuma:2", "warp-drive"})
+        EXPECT_THROW(architectureFromSpec(bad), FatalError) << bad;
 }

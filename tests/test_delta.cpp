@@ -7,10 +7,11 @@
  *    correctness, genDeltaBatch determinism, and the violation classes
  *    (insert of an existing coordinate, delete of a missing one,
  *    duplicates, out-of-bounds) all raising FatalError without
- *    corrupting state.
+ *    corrupting state, on the COO and on the grid.
  *  - IncrementalTiling: TileGrid::applyDelta is bit-identical to a
  *    fresh TileGrid over the patched matrix, including the in-place
- *    splice fast path and the reallocating growth fallback.
+ *    splice, growth past the arrays' capacity, and panels that empty,
+ *    fill or trade tile columns.
  *  - IncrementalPipeline: the property test — chained randomized
  *    insert/delete batches through HotTiles::applyDelta keep the grid,
  *    partition plan and SpMM output bit-identical to from-scratch
@@ -21,6 +22,7 @@
  */
 
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +158,44 @@ TEST(IncrementalDelta, ViolationLeavesGridUnmodified)
     EXPECT_TRUE(sameGrid(grid, before));
 }
 
+TEST(IncrementalDelta, EveryGridViolationLeavesGridUnmodified)
+{
+    CooMatrix m = testMatrix(4);
+    const Architecture& arch = testArch();
+    TileGrid grid(m, arch.tile_height, arch.tile_width);
+    const TileGrid before(m, arch.tile_height, arch.tile_width);
+    Index missing_col = 0;
+    while (grid.findNonzero(m.rowId(0), missing_col) != SIZE_MAX)
+        ++missing_col;
+
+    // Each bad batch also carries valid ops in other panels, which a
+    // partial apply would leave behind.
+    auto withValidOps = [&](auto addViolation) {
+        DeltaBatch d = genDeltaBatch(m, 4, 4, 17);
+        addViolation(d);
+        return d;
+    };
+    const DeltaBatch bad[] = {
+        withValidOps([&](DeltaBatch& d) {
+            d.pushDelete(m.rowId(0), missing_col);  // delete missing
+        }),
+        withValidOps([&](DeltaBatch& d) {
+            d.pushInsert(m.rowId(0), missing_col, 1.0);  // duplicate
+            d.pushInsert(m.rowId(0), missing_col, 2.0);
+        }),
+        withValidOps([&](DeltaBatch& d) {
+            d.pushInsert(m.rows(), 0, 1.0);  // row out of range
+        }),
+        withValidOps([&](DeltaBatch& d) {
+            d.pushDelete(0, m.cols());  // column out of range
+        }),
+    };
+    for (size_t i = 0; i < std::size(bad); ++i) {
+        EXPECT_THROW(grid.applyDelta(bad[i]), FatalError) << "batch " << i;
+        EXPECT_TRUE(sameGrid(grid, before)) << "batch " << i;
+    }
+}
+
 // ------------------------------------------------- tiling layer splice
 
 TEST(IncrementalTiling, PatchedGridMatchesFreshBuild)
@@ -203,6 +243,70 @@ TEST(IncrementalTiling, DeleteOnlyShrinksInPlace)
     EXPECT_TRUE(sameGrid(grid, fresh));
     EXPECT_EQ(gd.deleted, 64u);
     EXPECT_EQ(grid.matrixNnz(), m.nnz());
+}
+
+/** Patch a grid of @p m with @p d and compare it, panel index
+ *  included, against a fresh grid of the patched matrix. */
+void
+expectPatchMatchesFresh(const CooMatrix& m, const DeltaBatch& d, Index h,
+                        Index w)
+{
+    TileGrid grid(m, h, w);
+    grid.applyDelta(d);
+    TileGrid fresh(applyDeltaToCoo(m, d), h, w);
+    EXPECT_TRUE(sameGrid(grid, fresh));
+    for (Index p = 0; p < fresh.numPanels(); ++p)
+        EXPECT_EQ(grid.panelTiles(p), fresh.panelTiles(p)) << "panel " << p;
+}
+
+TEST(IncrementalTiling, DeltaEmptiesAWholePanel)
+{
+    const Architecture& arch = testArch();
+    CooMatrix m = testMatrix(9);
+    TileGrid grid(m, arch.tile_height, arch.tile_width);
+    auto [first, last] = grid.panelTiles(1);
+    ASSERT_LT(first, last);
+    DeltaBatch d;
+    for (size_t t = first; t < last; ++t) {
+        auto rows = grid.tileRows(t);
+        auto cols = grid.tileCols(t);
+        for (size_t i = 0; i < rows.size(); ++i)
+            d.pushDelete(rows[i], cols[i]);
+    }
+    d.pushInsert(m.rows() - 1, 0, 3.0);  // plus an insert in another panel
+    expectPatchMatchesFresh(m, d, arch.tile_height, arch.tile_width);
+    grid.applyDelta(d);
+    EXPECT_EQ(grid.panelTiles(1).first, grid.panelTiles(1).second);
+}
+
+/** A 32x32 matrix in 8x8 tiles: panels 1 and 3 hold no tiles; panel
+ *  0 occupies tile columns 0 and 2. */
+CooMatrix
+sparsePanels()
+{
+    CooMatrix m(32, 32,
+                {{0, 0, 1.0}, {1, 1, 2.0}, {2, 17, 3.0}, {17, 9, 4.0},
+                 {18, 30, 5.0}});
+    m.sortRowMajor();
+    return m;
+}
+
+TEST(IncrementalTiling, DeltaIntoAPanelWithNoTiles)
+{
+    DeltaBatch d;
+    d.pushInsert(9, 4, 6.0);
+    d.pushInsert(9, 28, 7.0);
+    d.pushInsert(31, 31, 8.0);  // the last panel, also empty
+    expectPatchMatchesFresh(sparsePanels(), d, 8, 8);
+}
+
+TEST(IncrementalTiling, TileColumnAppearsAndVanishesInOnePanel)
+{
+    DeltaBatch d;
+    d.pushDelete(2, 17);         // tile column 2 of panel 0 vanishes
+    d.pushInsert(3, 26, 9.0);    // tile column 3 appears
+    d.pushInsert(0, 7, 10.0);    // and tile column 0 grows
+    expectPatchMatchesFresh(sparsePanels(), d, 8, 8);
 }
 
 // --------------------------------------- whole-pipeline property test

@@ -650,6 +650,20 @@ TEST(ServeService, BadInputsErrorCleanly)
     service.stop();
 }
 
+TEST(ServeService, ArchSpecIsParsedStrictly)
+{
+    // A scale with a stray suffix is bad input, not scale 4
+    // (architectureFromSpec's cases are in test_arch).
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    PlanService service(cfg);
+    ServeReply reply = service.call(parseRequest(
+        "id=1 matrix=@pap arch=spade-sextans:4x mode=plan"));
+    EXPECT_EQ(reply.status, ServeStatus::Error);
+    EXPECT_EQ(reply.detail, "bad-input");
+    service.stop();
+}
+
 TEST(ServeService, TransitionsLandInMetricsRegistry)
 {
     MetricsRegistry& reg = MetricsRegistry::global();

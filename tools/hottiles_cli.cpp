@@ -395,26 +395,7 @@ parseArgs(int argc, char** argv)
 Architecture
 makeArch(const Options& o)
 {
-    auto parts = splitChar(o.arch_name, ':');
-    std::string base = toLower(parts[0]);
-    Architecture arch;
-    if (base == "spade-sextans") {
-        int scale = 4;
-        if (parts.size() > 1) {
-            uint64_t s = parseU64Arg(std::string(parts[1]), "--arch scale");
-            HT_FATAL_IF(s == 0 || s > 256,
-                        "--arch scale must be in [1, 256]");
-            scale = static_cast<int>(s);
-        }
-        arch = makeSpadeSextans(scale);
-    } else if (base == "pcie") {
-        arch = makeSpadeSextansPcie();
-    } else if (base == "piuma") {
-        arch = makePiuma();
-    } else {
-        HT_FATAL("unknown architecture '", o.arch_name,
-                 "' (try spade-sextans[:1|2|4|8], pcie, piuma)");
-    }
+    Architecture arch = architectureFromSpec(o.arch_name);
     if (o.tile > 0) {
         arch.tile_height = o.tile;
         arch.tile_width = o.tile;
